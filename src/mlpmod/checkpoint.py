@@ -12,11 +12,14 @@ Layout (all integers little-endian):
         f64 * widths[t+1]*widths[t]   weight matrix, row-major
         f64 * widths[t+1]             bias vector
 
-Round-trips are bit-exact.
+Round-trips are bit-exact. Writes are atomic: the bytes go to a temporary
+file beside the target, which then replaces it, so an interrupted write
+never leaves a truncated checkpoint at the target path.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -51,7 +54,13 @@ def save_checkpoint(model: MlpModel, path) -> None:
     for w, b in zip(model.weights, model.biases):
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    tmp = Path(str(path) + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, save_checkpoint
-from .data import SPLIT_FILES, DataError, load_dataset, load_split_files
+from .data import SPLIT_FILES, DataError, _resolve, load_dataset, load_split_files
 from .harness import (
+    DROPOUT_RATE,
     ExperimentConfig,
     StageError,
     analyze_checkpoint,
@@ -90,7 +91,7 @@ def _cmd_train(args) -> int:
     arch = MlpArchitecture(
         layer_widths=DEFAULT_LAYER_WIDTHS,
         activation=args.activation,
-        dropout_rate=0.5 if args.dropout else 0.0,
+        dropout_rate=DROPOUT_RATE if args.dropout else 0.0,
     )
     train_cfg = TrainConfig(epochs=args.epochs, rng_seed=args.seed)
     model, accuracy = train(dataset, arch, train_cfg)
@@ -124,16 +125,12 @@ def _cmd_train(args) -> int:
 def _cmd_analyze(args) -> int:
     test_set = None
     if args.data_dir is not None:
-        images_name, labels_name = SPLIT_FILES["test"]
         directory = Path(args.data_dir)
-
-        def find(base):
-            for cand in (directory / base, directory / (base + ".gz")):
-                if cand.is_file():
-                    return cand
-            raise DataError(f"missing test file: {directory / base}[.gz]")
-
-        test_set = load_split_files(find(images_name), find(labels_name), "test")
+        found = [_resolve(directory, base) for base in SPLIT_FILES["test"]]
+        for base, path in zip(SPLIT_FILES["test"], found):
+            if path is None:
+                raise DataError(f"missing test file: {directory / base}[.gz]")
+        test_set = load_split_files(*found, "test")
     if args.method == "spearman" and test_set is None:
         raise UsageError("--method spearman requires --data-dir with the test split")
     report = analyze_checkpoint(
@@ -199,7 +196,8 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
-_DATA_ERRORS = (DataError, CheckpointError, FileNotFoundError)
+# OSError covers missing inputs and unwritable or invalid output paths alike
+_DATA_ERRORS = (DataError, CheckpointError, OSError)
 _NUMERICAL_ERRORS = (
     TrainingDivergedError,
     EigensolverError,

@@ -323,10 +323,10 @@ def run_experiment(
     with _stage("train-or-load", wall_times):
         if ckpt_path.is_file():
             model = load_checkpoint(ckpt_path)
+            accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
         else:
-            model, _ = train(dataset, cfg.architecture, cfg.train)
+            model, accuracy = train(dataset, cfg.architecture, cfg.train)
             save_checkpoint(model, ckpt_path)
-        accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
 
     with _stage("adjacency", wall_times):
         adjacency = _build_adjacency(cfg.method, model, dataset.test)

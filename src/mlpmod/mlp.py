@@ -14,7 +14,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,23 +120,42 @@ def init_model(
     return MlpModel(architecture=arch, weights=weights, biases=biases)
 
 
+def _param_views(
+    widths: tuple[int, ...], flat: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight and bias views into ``flat``, laid out W0, b0, W1, b1, ... as in
+    a checkpoint."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Nonlinearity of a fresh pre-activation array, which it may overwrite."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    # numerically stable logistic
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+        return np.maximum(z, 0.0, out=z)
+    # numerically stable logistic exp(min(z, 0)) / (1 + exp(-|z|)): that is
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, with no mask
+    out = np.minimum(z, 0.0)
+    np.exp(out, out=out)
+    denom = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    denom += 1.0
+    return np.divide(out, denom, out=out)
 
 
-def _activation_grad(post: np.ndarray, kind: str) -> np.ndarray:
-    # derivative written in terms of the post-nonlinearity output
+def _apply_activation_grad(da: np.ndarray, post: np.ndarray, kind: str) -> None:
+    """Multiply ``da`` in place by the activation derivative, written in terms
+    of the post-nonlinearity output ``post``."""
     if kind == "relu":
-        return (post > 0).astype(np.float64)
-    return post * (1.0 - post)
+        da *= post > 0
+    else:
+        slope = 1.0 - post
+        slope *= post
+        da *= slope
 
 
 def sample_dropout_masks(
@@ -178,24 +197,27 @@ def _forward_cached(
         raise ValueError("train mode with dropout needs an rng or explicit masks")
     post_acts: list[np.ndarray] = []   # per hidden layer, pre-dropout
     dropped: list[np.ndarray] = []     # per hidden layer, post-dropout (next layer input)
-    masks: list[np.ndarray] = []
+    scales: list[np.ndarray] = []      # per hidden layer, keep-mask / (1 - p)
     a = x
     n_conn = len(model.weights)
     for t in range(n_conn - 1):
-        z = a @ model.weights[t].T + model.biases[t]
+        z = a @ model.weights[t].T
+        z += model.biases[t]
         h = _activate(z, arch.activation)
         post_acts.append(h)
         if training and p > 0:
-            mask = dropout_masks[t] if dropout_masks is not None else (
+            keep = dropout_masks[t] if dropout_masks is not None else (
                 rng.random(h.shape) >= p
             )
-            masks.append(mask)
-            a = h * mask / (1.0 - p)
+            scale = keep / (1.0 - p)
+            scales.append(scale)
+            a = h * scale
         else:
             a = h
         dropped.append(a)
-    logits = a @ model.weights[-1].T + model.biases[-1]
-    return logits, post_acts, dropped, masks
+    logits = a @ model.weights[-1].T
+    logits += model.biases[-1]
+    return logits, post_acts, dropped, scales
 
 
 def forward(
@@ -241,12 +263,14 @@ def loss_and_gradients(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     dropout_masks: list[np.ndarray] | None = None,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean softmax cross-entropy and exact gradients for all parameters.
 
     In train mode the gradients are exact for the dropout masks actually
     sampled (or supplied), which is what makes pinned-mask finite-difference
-    checks possible.
+    checks possible. ``out`` may name ``(weight_grads, bias_grads)`` arrays
+    to fill in place; those lists are then the ones returned.
     """
     x = _check_batch(model, inputs)
     y = np.asarray(labels)
@@ -255,38 +279,40 @@ def loss_and_gradients(
         raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-    arch = model.architecture
-    p = arch.dropout_rate
-    training = mode == "train"
-    logits, post_acts, dropped, masks = _forward_cached(model, x, mode, rng, dropout_masks)
+    logits, post_acts, dropped, scales = _forward_cached(model, x, mode, rng, dropout_masks)
     loss, delta = softmax_cross_entropy(logits, y)
-    grads_w = [np.empty_like(w) for w in model.weights]
-    grads_b = [np.empty_like(b) for b in model.biases]
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights],
+               [np.empty_like(b) for b in model.biases])
+    grads_w, grads_b = out
     layer_inputs = [x] + dropped  # input to each connection
     for t in range(len(model.weights) - 1, -1, -1):
-        grads_w[t] = delta.T @ layer_inputs[t]
-        grads_b[t] = delta.sum(axis=0)
+        np.matmul(delta.T, layer_inputs[t], out=grads_w[t])
+        np.sum(delta, axis=0, out=grads_b[t])
         if t > 0:
-            da = delta @ model.weights[t]
-            if training and p > 0:
-                da = da * masks[t - 1] / (1.0 - p)
-            delta = da * _activation_grad(post_acts[t - 1], arch.activation)
+            delta = delta @ model.weights[t]
+            if scales:
+                delta *= scales[t - 1]
+            _apply_activation_grad(delta, post_acts[t - 1], model.architecture.activation)
     return loss, grads_w, grads_b
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """First/second moment accumulators, the shared step counter and one
+    scratch array per parameter, so that a step allocates nothing."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
+    scratch: list[np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
+            scratch=[np.empty_like(p) for p in params],
         )
 
 
@@ -299,21 +325,36 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias-corrected moments."""
+    """One in-place Adam update with bias-corrected moments.
+
+    Uses the efficient form of Kingma & Ba (arXiv 1412.6980, Sec. 2): the
+    bias corrections fold into the step size ``alpha_t`` and the epsilon
+    ``eps_hat``, so the update is ``p -= alpha_t * m / (sqrt(v) + eps_hat)``.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must have matching lengths")
+    if state.scratch is None:
+        state.scratch = [np.empty_like(m) for m in state.m]
     state.t += 1
     t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    root_correction2 = np.sqrt(1 - beta2**t)
+    alpha_t = learning_rate * root_correction2 / (1 - beta1**t)
+    eps_hat = eps * root_correction2
+    for p, g, m, v, s in zip(params, grads, state.m, state.v, state.scratch):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         m *= beta1
-        m += (1 - beta1) * g
+        np.multiply(g, 1 - beta1, out=s)
+        m += s
         v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1 - beta2, out=s)
+        s *= g
+        v += s
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= alpha_t
+        p -= s
 
 
 def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, float]:
@@ -325,24 +366,31 @@ def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, f
     """
     rng = np.random.default_rng(cfg.rng_seed)
     model = init_model(arch, rng)
-    params = model.weights + model.biases
-    state = AdamState.for_params(params)
+    # all parameters in one buffer in checkpoint order, the model's arrays
+    # being views into it, and a gradient buffer of the same layout
+    params = np.concatenate(
+        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
+    )
+    model.weights, model.biases = _param_views(arch.layer_widths, params)
+    grads = np.empty_like(params)
+    grad_views = _param_views(arch.layer_widths, grads)
+    state = AdamState.for_params([params])
     x, y = dataset.train.images, dataset.train.labels
     n = x.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = loss_and_gradients(
-                model, x[sel], y[sel], mode="train", rng=rng
+            loss, _, _ = loss_and_gradients(
+                model, x[sel], y[sel], mode="train", rng=rng, out=grad_views
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch}, step {step}"
                 )
             adam_step(
-                params,
-                grads_w + grads_b,
+                [params],
+                [grads],
                 state,
                 learning_rate=cfg.learning_rate,
                 beta1=cfg.beta1,

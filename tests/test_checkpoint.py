@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,3 +97,17 @@ def test_unknown_activation_tag_rejected(model, tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="activation tag"):
         load_checkpoint(path)
+
+
+def test_interrupted_write_leaves_no_file(model, tmp_path, monkeypatch):
+    path = tmp_path / "model.mlpc"
+    real_write_bytes = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, path)
+    assert list(tmp_path.iterdir()) == []

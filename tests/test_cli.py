@@ -92,6 +92,19 @@ def test_degenerate_checkpoint_exit_code_3(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
+def test_output_path_under_regular_file_is_data_error(tmp_path):
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    proc = run_cli(
+        "analyze", "--checkpoint", str(ckpt), "--method", "weights",
+        "--out", str(blocker / "analysis"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr
+
+
 def test_analyze_weights_happy_path(smoke_data_dir, tmp_path):
     report = run_experiment(smoke_config("weights"), smoke_data_dir, tmp_path)
     ckpt = tmp_path / "checkpoints" / report.checkpoint

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ def test_methods_share_one_checkpoint(smoke_data_dir, tmp_path):
     assert w.ncut != s.ncut  # different adjacency constructions
     ckpts = list((tmp_path / "checkpoints").glob("*.mlpc"))
     assert len(ckpts) == 1
+
+
+def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, monkeypatch):
+    cfg = smoke_config("weights")
+    real_write_bytes = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("killed mid-write")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(StageError, match="killed mid-write"):
+            run_experiment(cfg, smoke_data_dir, tmp_path / "run")
+    assert list((tmp_path / "run" / "checkpoints").iterdir()) == []
+    rerun = run_experiment(cfg, smoke_data_dir, tmp_path / "run")
+    fresh = run_experiment(cfg, smoke_data_dir, tmp_path / "fresh")
+    assert _strip_wall_times(rerun.to_dict()) == _strip_wall_times(fresh.to_dict())
 
 
 def test_fingerprint_tracks_training_inputs():

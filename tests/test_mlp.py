@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mlpmod.checkpoint import load_checkpoint, save_checkpoint
 from mlpmod.data import Dataset, LabeledImageSet
 from mlpmod.mlp import (
+    _activate,
     AdamState,
     MlpArchitecture,
     TrainConfig,
@@ -17,6 +19,33 @@ from mlpmod.mlp import (
     softmax_cross_entropy,
     train,
 )
+
+
+# ---------------------------------------------------------------------------
+# textbook references the fast paths are checked against
+
+def reference_logistic(z):
+    """Stable logistic by masked gather/scatter, one branch per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_adam_step(params, grads, m_list, v_list, t, lr=1e-3, beta1=0.9,
+                        beta2=0.999, eps=1e-8):
+    """Per-tensor Adam with explicit bias-corrected moments; ``t`` is the
+    1-based step number."""
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def make_model(widths, activation="relu", dropout=0.0, seed=0, bias_jitter=0.0):
@@ -110,6 +139,16 @@ def test_forward_rejects_bad_batches():
         forward(model, bad)
 
 
+def test_logistic_matches_masked_reference():
+    z = np.linspace(-700.0, 700.0, 1_400_001)
+    with np.errstate(all="raise"):
+        expected = reference_logistic(z)
+        got = _activate(z.copy(), "sigmoid")
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+    # saturated units tie exactly as often, so Spearman ranks do not move
+    assert z.size - np.unique(got).size == z.size - np.unique(expected).size
+
+
 def test_activation_ranges():
     rng = np.random.default_rng(3)
     x = rng.random((20, 5))
@@ -184,6 +223,26 @@ def test_gradients_match_finite_differences_pinned_dropout(activation):
     assert loss == loss2
 
 
+def test_gradients_fill_supplied_buffers():
+    model = make_model((5, 4, 4, 3), activation="sigmoid", dropout=0.5, seed=24)
+    rng = np.random.default_rng(25)
+    x = rng.random((6, 5))
+    y = rng.integers(0, 3, size=6)
+    masks = sample_dropout_masks(model.architecture, 6, np.random.default_rng(26))
+    loss, grads_w, grads_b = loss_and_gradients(
+        model, x, y, mode="train", dropout_masks=masks
+    )
+    out = ([np.full_like(w, np.nan) for w in model.weights],
+           [np.full_like(b, np.nan) for b in model.biases])
+    loss_out, out_w, out_b = loss_and_gradients(
+        model, x, y, mode="train", dropout_masks=masks, out=out
+    )
+    assert loss_out == loss
+    assert out_w is out[0] and out_b is out[1]
+    for a, b in zip(grads_w + grads_b, out_w + out_b):
+        np.testing.assert_array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # adam
 
@@ -215,6 +274,29 @@ def test_adam_descends_quadratic():
         adam_step(params, [np.array([2.0 * x])], state, learning_rate=0.05)
     assert values[-1] < values[0]
     assert params[0][0] ** 2 < 0.1
+
+
+def test_adam_matches_textbook_reference_over_flat_buffer():
+    rng = np.random.default_rng(30)
+    shapes = [(7, 5), (7,), (3, 7), (3,)]
+    ref_params = [rng.standard_normal(s) for s in shapes]
+    flat = np.concatenate([p.ravel() for p in ref_params])
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    state = AdamState.for_params([flat])
+    bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    for step in range(1, 301):
+        # gradients spanning several magnitudes, some exactly zero
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        grads[1][0] = 0.0
+        reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr=1e-2)
+        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state,
+                  learning_rate=1e-2)
+    assert state.t == 300
+    for i, p in enumerate(ref_params):
+        np.testing.assert_allclose(
+            flat[bounds[i] : bounds[i + 1]], p.ravel(), rtol=1e-12, atol=0.0
+        )
 
 
 def test_adam_shape_mismatch():
@@ -261,6 +343,30 @@ def test_train_deterministic_same_seed():
         np.testing.assert_array_equal(w_a, w_b)
     for b_a, b_b in zip(model_a.biases, model_b.biases):
         np.testing.assert_array_equal(b_a, b_b)
+
+
+def test_train_accuracy_is_evaluate_accuracy_of_returned_model():
+    dataset = separable_dataset(n=200, seed=3)
+    arch = MlpArchitecture(layer_widths=(4, 6, 6, 2), activation="sigmoid", dropout_rate=0.5)
+    model, accuracy = train(dataset, arch, TrainConfig(epochs=2, batch_size=16, rng_seed=5))
+    assert accuracy == evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
+
+
+def test_trained_model_views_round_trip_bit_exact(tmp_path):
+    dataset = separable_dataset(n=120, seed=4)
+    arch = MlpArchitecture(layer_widths=(4, 5, 3, 2), activation="relu")
+    model, _ = train(dataset, arch, TrainConfig(epochs=2, batch_size=16, rng_seed=6))
+    params = model.weights + model.biases
+    # one shared parameter buffer behind every weight and bias
+    buffer = params[0].base
+    assert buffer is not None and all(p.base is buffer for p in params)
+    path = tmp_path / "trained.mlpc"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    for a, b in zip(params, loaded.weights + loaded.biases):
+        np.testing.assert_array_equal(a, b)
+    save_checkpoint(loaded, tmp_path / "again.mlpc")
+    assert (tmp_path / "again.mlpc").read_bytes() == path.read_bytes()
 
 
 def test_train_divergence_detected():
