@@ -12,9 +12,11 @@ Layout (all integers little-endian):
         f64 * widths[t+1]*widths[t]   weight matrix, row-major
         f64 * widths[t+1]             bias vector
 
-Round-trips are bit-exact. Writes are atomic: the bytes go to a temporary
-file beside the target, which then replaces it, so an interrupted write
-never leaves a truncated checkpoint at the target path.
+The parameters form one flat f64 buffer in the layout of ``mlp._param_views``.
+Loading rejects non-finite parameters. Round-trips are bit-exact. Writes are
+atomic: the bytes go to a temporary file beside the target, which then
+replaces it, so an interrupted write never leaves a truncated checkpoint at
+the target path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mlp import MlpArchitecture, MlpModel
+from .mlp import MlpArchitecture, MlpModel, _param_views
 
 __all__ = ["CheckpointError", "MAGIC", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -37,78 +39,58 @@ _TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is malformed or has the wrong magic/version."""
+    """Checkpoint file is malformed, has the wrong magic/version or holds
+    non-finite parameters."""
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
     arch = model.architecture
     widths = arch.layer_widths
-    parts = [
-        MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<I", len(widths)),
-        struct.pack(f"<{len(widths)}I", *widths),
-        struct.pack("<I", _ACTIVATION_TAGS[arch.activation]),
-        struct.pack("<d", arch.dropout_rate),
-    ]
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    header = MAGIC + struct.pack(
+        f"<II{len(widths)}IId",
+        FORMAT_VERSION,
+        len(widths),
+        *widths,
+        _ACTIVATION_TAGS[arch.activation],
+        arch.dropout_rate,
+    )
+    params = np.concatenate(
+        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
+    )
     tmp = Path(str(path) + ".tmp")
     try:
-        tmp.write_bytes(b"".join(parts))
+        tmp.write_bytes(header + params.astype("<f8", copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError(
-                f"{self.path}: truncated checkpoint (needed {n} bytes at "
-                f"offset {self.pos}, file has {len(self.data)})"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def array(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+def _unpack(fmt: str, data: bytes, offset: int, path) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, offset)
+    except struct.error:
+        raise CheckpointError(
+            f"{path}: truncated checkpoint (header needs "
+            f"{offset + struct.calcsize(fmt)} bytes, file has {len(data)})"
+        ) from None
 
 
 def load_checkpoint(path) -> MlpModel:
     data = Path(path).read_bytes()
-    r = _Reader(data, path)
-    if r.take(4) != MAGIC:
+    if data[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a model checkpoint")
-    version = r.u32()
+    version, n_layers = _unpack("<II", data, 4, path)
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version} (expected {FORMAT_VERSION})"
         )
-    n_layers = r.u32()
     if not 2 <= n_layers <= 1024:
         raise CheckpointError(f"{path}: implausible layer count {n_layers}")
-    widths = tuple(r.u32() for _ in range(n_layers))
-    tag = r.u32()
+    layout = f"<{n_layers}IId"
+    *widths, tag, dropout = _unpack(layout, data, 12, path)
     if tag not in _TAG_ACTIVATIONS:
         raise CheckpointError(f"{path}: unknown activation tag {tag}")
-    dropout = r.f64()
     try:
         arch = MlpArchitecture(
             layer_widths=widths,
@@ -117,12 +99,26 @@ def load_checkpoint(path) -> MlpModel:
         )
     except ValueError as e:
         raise CheckpointError(f"{path}: invalid architecture: {e}") from e
-    weights, biases = [], []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(r.array((fan_out, fan_in)))
-        biases.append(r.array((fan_out,)))
-    if r.pos != len(data):
+    offset = 12 + struct.calcsize(layout)
+    n_params = sum(o * i + o for i, o in zip(widths[:-1], widths[1:]))
+    expected = offset + 8 * n_params
+    if len(data) < expected:
         raise CheckpointError(
-            f"{path}: {len(data) - r.pos} unexpected trailing bytes"
+            f"{path}: truncated checkpoint (widths {tuple(widths)} need "
+            f"{expected} bytes, file has {len(data)})"
+        )
+    if len(data) > expected:
+        raise CheckpointError(f"{path}: {len(data) - expected} unexpected trailing bytes")
+    flat = np.frombuffer(data, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
+    weights, biases = _param_views(arch.layer_widths, flat)
+    if not np.isfinite(flat).all():
+        bad = [
+            f"{name}{t}"
+            for name, arrays in (("W", weights), ("b", biases))
+            for t, a in enumerate(arrays)
+            if not np.isfinite(a).all()
+        ]
+        raise CheckpointError(
+            f"{path}: non-finite (NaN or inf) values in parameters {', '.join(bad)}"
         )
     return MlpModel(architecture=arch, weights=weights, biases=biases)

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, save_checkpoint
-from .data import SPLIT_FILES, DataError, _resolve, load_dataset, load_split_files
+from .data import DataError, load_dataset, load_splits
 from .harness import (
-    DROPOUT_RATE,
     ExperimentConfig,
     StageError,
     analyze_checkpoint,
@@ -26,13 +25,7 @@ from .harness import (
     run_grid,
     write_grid_csv,
 )
-from .mlp import (
-    DEFAULT_LAYER_WIDTHS,
-    MlpArchitecture,
-    TrainConfig,
-    TrainingDivergedError,
-    train,
-)
+from .mlp import TrainConfig, TrainingDivergedError, train
 from .spectral import EigensolverError, SpectralConfig
 
 EXIT_OK = 0
@@ -88,21 +81,15 @@ def _build_parser() -> _Parser:
 
 def _cmd_train(args) -> int:
     dataset = load_dataset(args.dataset, args.data_dir)
-    arch = MlpArchitecture(
-        layer_widths=DEFAULT_LAYER_WIDTHS,
-        activation=args.activation,
-        dropout_rate=DROPOUT_RATE if args.dropout else 0.0,
-    )
-    train_cfg = TrainConfig(epochs=args.epochs, rng_seed=args.seed)
-    model, accuracy = train(dataset, arch, train_cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ExperimentConfig(
         dataset=args.dataset,
         activation=args.activation,
         dropout=args.dropout,
-        train=train_cfg,
+        train=TrainConfig(epochs=args.epochs, rng_seed=args.seed),
     )
+    model, accuracy = train(dataset, cfg.architecture, cfg.train)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / checkpoint_filename(cfg)
     save_checkpoint(model, ckpt)
     summary = {
@@ -123,22 +110,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.method == "spearman" and args.data_dir is None:
+        raise UsageError("--method spearman requires --data-dir with the test split")
     test_set = None
     if args.data_dir is not None:
-        directory = Path(args.data_dir)
-        found = [_resolve(directory, base) for base in SPLIT_FILES["test"]]
-        for base, path in zip(SPLIT_FILES["test"], found):
-            if path is None:
-                raise DataError(f"missing test file: {directory / base}[.gz]")
-        test_set = load_split_files(*found, "test")
-    if args.method == "spearman" and test_set is None:
-        raise UsageError("--method spearman requires --data-dir with the test split")
+        test_set = load_splits(args.data_dir, ["test"])["test"]
     report = analyze_checkpoint(
         args.checkpoint,
         args.method,
         spectral=SpectralConfig(k=args.k, rng_seed=args.seed),
         test_set=test_set,
-        k=args.k,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import layer_starts
+from .graph import adjacency_from_blocks, layer_starts
 
 __all__ = [
     "rank_transform",
@@ -110,12 +110,10 @@ def build_correlation_adjacency(table: np.ndarray, architecture) -> np.ndarray:
     if t.shape[0] < 2:
         raise ValueError("need at least two recorded examples")
     z = standardized_rank_columns(t)
-    n = int(starts[-1])
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for layer in range(len(widths) - 1):
-        r0, r1 = starts[layer], starts[layer + 1]
-        c0, c1 = starts[layer + 1], starts[layer + 2]
-        block = np.abs(z[:, r0:r1].T @ z[:, c0:c1])
-        adjacency[r0:r1, c0:c1] = block
-        adjacency[c0:c1, r0:r1] = block.T
-    return adjacency
+    return adjacency_from_blocks(
+        widths,
+        (
+            np.abs(z[:, starts[i] : starts[i + 1]].T @ z[:, starts[i + 1] : starts[i + 2]])
+            for i in range(len(widths) - 1)
+        ),
+    )

@@ -30,6 +30,7 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "load_split_files",
+    "load_splits",
     "load_dataset",
     "make_synthetic_dataset",
 ]
@@ -172,6 +173,26 @@ def _resolve(directory: Path, base_name: str) -> Path | None:
     return None
 
 
+def load_splits(directory, splits) -> dict[str, LabeledImageSet]:
+    """Load the named splits from their canonical file names in ``directory``.
+
+    Every missing file is named in one ``DataError`` before anything loads.
+    """
+    directory = Path(directory)
+    paths = {
+        split: [_resolve(directory, base) for base in SPLIT_FILES[split]] for split in splits
+    }
+    missing = [
+        f"{directory / base}[.gz]"
+        for split in splits
+        for base, path in zip(SPLIT_FILES[split], paths[split])
+        if path is None
+    ]
+    if missing:
+        raise DataError("missing dataset files: " + ", ".join(missing))
+    return {split: load_split_files(*paths[split], split) for split in splits}
+
+
 def load_dataset(name: str, data_dir) -> Dataset:
     """Load train/test splits from ``<data_dir>/<name>/``.
 
@@ -180,24 +201,7 @@ def load_dataset(name: str, data_dir) -> Dataset:
     synthetic smoke datasets come in.
     """
     directory = Path(data_dir) / name
-    missing = []
-    resolved = {}
-    for split, (images_name, labels_name) in SPLIT_FILES.items():
-        for base in (images_name, labels_name):
-            found = _resolve(directory, base)
-            if found is None:
-                missing.append(str(directory / base) + "[.gz]")
-            else:
-                resolved[base] = found
-    if missing:
-        raise DataError(
-            "missing dataset files: " + ", ".join(missing)
-        )
-    splits = {}
-    for split, (images_name, labels_name) in SPLIT_FILES.items():
-        splits[split] = load_split_files(
-            resolved[images_name], resolved[labels_name], split
-        )
+    splits = load_splits(directory, SPLIT_FILES)
     if name in KNOWN_DATASETS:
         for split, expected in KNOWN_DATASETS[name].items():
             got = len(splits[split])

@@ -18,6 +18,7 @@ __all__ = [
     "total_neurons",
     "neuron_index",
     "neuron_position",
+    "adjacency_from_blocks",
     "build_weight_adjacency",
     "validate_adjacency",
     "degrees",
@@ -62,6 +63,26 @@ def neuron_position(layer_widths: Sequence[int], index: int) -> tuple[int, int]:
     return layer, index - int(starts[layer])
 
 
+def adjacency_from_blocks(
+    layer_widths: Sequence[int], blocks: Iterable[np.ndarray]
+) -> np.ndarray:
+    """Dense symmetric adjacency matrix from its layer-pair blocks.
+
+    ``blocks`` yields one block per adjacent layer pair, in order; block
+    ``t`` has shape ``(widths[t], widths[t+1])``, rows in layer ``t`` and
+    columns in layer ``t+1``. Every other entry is zero.
+    """
+    starts = layer_starts(layer_widths)
+    n = int(starts[-1])
+    adjacency = np.zeros((n, n), dtype=np.float64)
+    for t, block in enumerate(blocks):
+        r0, r1 = starts[t], starts[t + 1]
+        c0, c1 = starts[t + 1], starts[t + 2]
+        adjacency[r0:r1, c0:c1] = block
+        adjacency[c0:c1, r0:r1] = block.T
+    return adjacency
+
+
 def build_weight_adjacency(
     layer_weight_matrices: Sequence[np.ndarray],
     layer_widths: Sequence[int],
@@ -74,14 +95,12 @@ def build_weight_adjacency(
     ignored.
     """
     widths = list(layer_widths)
-    starts = layer_starts(widths)
     if len(layer_weight_matrices) != len(widths) - 1:
         raise ValueError(
             f"expected {len(widths) - 1} weight matrices for "
             f"{len(widths)} layers, got {len(layer_weight_matrices)}"
         )
-    n = int(starts[-1])
-    adjacency = np.zeros((n, n), dtype=np.float64)
+    blocks = []
     for t, w in enumerate(layer_weight_matrices):
         w = np.asarray(w, dtype=np.float64)
         expected = (widths[t + 1], widths[t])
@@ -89,12 +108,8 @@ def build_weight_adjacency(
             raise ValueError(
                 f"weight matrix {t} has shape {w.shape}, expected {expected}"
             )
-        block = np.abs(w).T  # rows: layer t, cols: layer t+1
-        r0, r1 = starts[t], starts[t + 1]
-        c0, c1 = starts[t + 1], starts[t + 2]
-        adjacency[r0:r1, c0:c1] = block
-        adjacency[c0:c1, r0:r1] = block.T
-    return adjacency
+        blocks.append(np.abs(w).T)  # rows: layer t, cols: layer t+1
+    return adjacency_from_blocks(widths, blocks)
 
 
 def validate_adjacency(

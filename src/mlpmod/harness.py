@@ -14,15 +14,15 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .correlation import build_correlation_adjacency
-from .data import LabeledImageSet, load_dataset
-from .graph import build_weight_adjacency, neuron_position, validate_adjacency
+from .data import DataError, LabeledImageSet, load_dataset
+from .graph import build_weight_adjacency, validate_adjacency
 from .mlp import (
     DEFAULT_LAYER_WIDTHS,
     MlpArchitecture,
@@ -32,7 +32,7 @@ from .mlp import (
     record_activations,
     train,
 )
-from .spectral import ClusteringResult, SpectralConfig, cluster_graph
+from .spectral import SpectralConfig, cluster_graph
 
 __all__ = [
     "METHODS",
@@ -97,7 +97,6 @@ class ExperimentConfig:
     activation: str = "relu"
     dropout: bool = False
     method: str = "weights"
-    k: int = 4
     layer_widths: tuple[int, ...] = DEFAULT_LAYER_WIDTHS
     train: TrainConfig = field(default_factory=TrainConfig)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
@@ -105,8 +104,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
 
     @property
     def architecture(self) -> MlpArchitecture:
@@ -115,10 +112,6 @@ class ExperimentConfig:
             activation=self.activation,
             dropout_rate=DROPOUT_RATE if self.dropout else 0.0,
         )
-
-    @property
-    def off_protocol_k(self) -> bool:
-        return self.k != 4
 
 
 @dataclass
@@ -146,37 +139,11 @@ class ExperimentReport:
     wall_times: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "activation": self.activation,
-            "dropout": self.dropout,
-            "method": self.method,
-            "k": self.k,
-            "seed": self.seed,
-            "layer_widths": list(self.layer_widths),
-            "test_accuracy_percent": self.test_accuracy_percent,
-            "ncut": self.ncut,
-            "cluster_sizes": list(self.cluster_sizes),
-            "layer_cluster_counts": [list(row) for row in self.layer_cluster_counts],
-            "dropped_nodes": self.dropped_nodes,
-            "kmeans_cost": self.kmeans_cost,
-            "checkpoint": self.checkpoint,
-            "off_protocol_k": self.off_protocol_k,
-            "train_config": self.train_config,
-            "spectral_config": self.spectral_config,
-            "conventions": dict(self.conventions),
-            "wall_times": dict(self.wall_times),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(**{k: d[k] for k in (
-            "dataset", "activation", "dropout", "method", "k", "seed",
-            "layer_widths", "test_accuracy_percent", "ncut", "cluster_sizes",
-            "layer_cluster_counts", "dropped_nodes", "kmeans_cost",
-            "checkpoint", "off_protocol_k", "train_config", "spectral_config",
-            "conventions", "wall_times",
-        )})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     def write_json(self, path) -> None:
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -189,30 +156,6 @@ class ExperimentReport:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _train_config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "eps": cfg.eps,
-        "rng_seed": cfg.rng_seed,
-        "shuffle_each_epoch": cfg.shuffle_each_epoch,
-    }
-
-
-def _spectral_config_dict(cfg: SpectralConfig, k: int) -> dict:
-    return {
-        "k": k,
-        "kmeans_restarts": cfg.kmeans_restarts,
-        "kmeans_max_iters": cfg.kmeans_max_iters,
-        "kmeans_tol": cfg.kmeans_tol,
-        "eig_tol": cfg.eig_tol,
-        "rng_seed": cfg.rng_seed,
-    }
-
-
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """Hash of everything that determines the trained model."""
     payload = json.dumps(
@@ -221,7 +164,7 @@ def config_fingerprint(cfg: ExperimentConfig) -> str:
             "layer_widths": list(cfg.layer_widths),
             "activation": cfg.activation,
             "dropout_rate": DROPOUT_RATE if cfg.dropout else 0.0,
-            "train": _train_config_dict(cfg.train),
+            "train": asdict(cfg.train),
         },
         sort_keys=True,
     )
@@ -244,17 +187,6 @@ def report_filename(cfg: ExperimentConfig) -> str:
     )
 
 
-def _layer_cluster_counts(
-    result: ClusteringResult, layer_widths
-) -> list[list[int]]:
-    counts = np.zeros((len(layer_widths), result.n_clusters), dtype=np.int64)
-    for node, label in enumerate(result.labels):
-        if label >= 0:
-            layer, _ = neuron_position(layer_widths, node)
-            counts[layer, label] += 1
-    return counts.tolist()
-
-
 def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | None):
     widths = model.architecture.layer_widths
     if method == "weights":
@@ -270,26 +202,45 @@ def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | N
     return adjacency
 
 
-def _assemble_report(
-    cfg_like: dict,
+def _analyze_model(
     model: MlpModel,
-    result: ClusteringResult,
+    method: str,
+    test_set: LabeledImageSet | None,
+    spectral: SpectralConfig,
     wall_times: dict,
+    **provenance,
 ) -> ExperimentReport:
-    widths = model.architecture.layer_widths
+    """Build ``model``'s graph under ``method``, cluster it and assemble the
+    report; ``provenance`` supplies the fields the model does not determine
+    (dataset, seed, accuracy, checkpoint name, training config)."""
+    with _stage("adjacency", wall_times):
+        adjacency = _build_adjacency(method, model, test_set)
+    with _stage("cluster", wall_times):
+        result = cluster_graph(adjacency, spectral)
+    arch = model.architecture
     sizes = result.cluster_sizes().tolist()
     dropped = int(result.dropped.size)
     if sum(sizes) != model.n_neurons - dropped:
         raise RuntimeError("cluster sizes do not cover the kept nodes")
+    kept = result.labels >= 0
+    layer_of = np.repeat(np.arange(len(arch.layer_widths)), arch.layer_widths)
+    layer_counts = np.zeros((len(arch.layer_widths), result.n_clusters), dtype=np.int64)
+    np.add.at(layer_counts, (layer_of[kept], result.labels[kept]), 1)
     return ExperimentReport(
-        layer_widths=list(widths),
+        activation=arch.activation,
+        dropout=arch.dropout_rate > 0,
+        method=method,
+        k=spectral.k,
+        layer_widths=list(arch.layer_widths),
         ncut=float(result.ncut_value),
         cluster_sizes=sizes,
-        layer_cluster_counts=_layer_cluster_counts(result, widths),
+        layer_cluster_counts=layer_counts.tolist(),
         dropped_nodes=dropped,
         kmeans_cost=float(result.kmeans_cost),
+        off_protocol_k=spectral.k != 4,  # the paper clusters into 4
+        spectral_config=asdict(spectral),
         wall_times=wall_times,
-        **cfg_like,
+        **provenance,
     )
 
 
@@ -328,30 +279,17 @@ def run_experiment(
             model, accuracy = train(dataset, cfg.architecture, cfg.train)
             save_checkpoint(model, ckpt_path)
 
-    with _stage("adjacency", wall_times):
-        adjacency = _build_adjacency(cfg.method, model, dataset.test)
-
-    with _stage("cluster", wall_times):
-        spectral_cfg = replace(cfg.spectral, k=cfg.k)
-        result = cluster_graph(adjacency, spectral_cfg)
-
-    report = _assemble_report(
-        {
-            "dataset": cfg.dataset,
-            "activation": cfg.activation,
-            "dropout": cfg.dropout,
-            "method": cfg.method,
-            "k": cfg.k,
-            "seed": cfg.train.rng_seed,
-            "test_accuracy_percent": 100.0 * accuracy,
-            "checkpoint": ckpt_path.name,
-            "off_protocol_k": cfg.off_protocol_k,
-            "train_config": _train_config_dict(cfg.train),
-            "spectral_config": _spectral_config_dict(cfg.spectral, cfg.k),
-        },
+    report = _analyze_model(
         model,
-        result,
+        cfg.method,
+        dataset.test,
+        cfg.spectral,
         wall_times,
+        dataset=cfg.dataset,
+        seed=cfg.train.rng_seed,
+        test_accuracy_percent=100.0 * accuracy,
+        checkpoint=ckpt_path.name,
+        train_config=asdict(cfg.train),
     )
     report.write_json(out_dir / "reports" / report_filename(cfg))
     return report
@@ -362,49 +300,43 @@ def analyze_checkpoint(
     method: str,
     spectral: SpectralConfig | None = None,
     test_set: LabeledImageSet | None = None,
-    k: int = 4,
 ) -> ExperimentReport:
     """Re-run the graph analysis of a stored model without retraining.
 
     The weights method needs no data; the spearman method requires the test
     split the activations are recorded over. Test accuracy is filled in
-    whenever a test set is supplied.
+    whenever a test set is supplied, whose image width must match the
+    model's input layer (``DataError`` otherwise).
     """
     if method == "spearman" and test_set is None:
         raise ValueError(
             "analyze with method 'spearman' requires the test split "
             "(pass test_set / --data-dir)"
         )
-    spectral = spectral if spectral is not None else SpectralConfig(k=k)
-    spectral = replace(spectral, k=k)
     wall_times: dict = {}
     with _stage("load-checkpoint", wall_times):
         model = load_checkpoint(checkpoint_path)
-    with _stage("adjacency", wall_times):
-        adjacency = _build_adjacency(method, model, test_set)
-    with _stage("cluster", wall_times):
-        result = cluster_graph(adjacency, spectral)
     accuracy = None
     if test_set is not None:
+        n_inputs = model.architecture.layer_widths[0]
+        if test_set.images.shape[1] != n_inputs:
+            raise DataError(
+                f"test images have {test_set.images.shape[1]} pixels but the "
+                f"checkpoint's input layer has {n_inputs} neurons"
+            )
         with _stage("accuracy", wall_times):
             accuracy = 100.0 * evaluate_accuracy(model, test_set.images, test_set.labels)
-    return _assemble_report(
-        {
-            "dataset": None,
-            "activation": model.architecture.activation,
-            "dropout": model.architecture.dropout_rate > 0,
-            "method": method,
-            "k": k,
-            "seed": None,
-            "test_accuracy_percent": accuracy,
-            "checkpoint": Path(checkpoint_path).name,
-            "off_protocol_k": k != 4,
-            "train_config": None,
-            "spectral_config": _spectral_config_dict(spectral, k),
-        },
+    return _analyze_model(
         model,
-        result,
+        method,
+        test_set,
+        spectral if spectral is not None else SpectralConfig(),
         wall_times,
+        dataset=None,
+        seed=None,
+        test_accuracy_percent=accuracy,
+        checkpoint=Path(checkpoint_path).name,
+        train_config=None,
     )
 
 
@@ -424,7 +356,6 @@ def run_grid(
     spectral: SpectralConfig | None = None,
     datasets=("mnist", "fashion_mnist"),
     layer_widths=DEFAULT_LAYER_WIDTHS,
-    k: int = 4,
     progress=None,
 ) -> GridResult:
     """All dataset x activation x dropout cells, both methods, every seed.
@@ -435,7 +366,7 @@ def run_grid(
     checks.
     """
     train_cfg = train_cfg if train_cfg is not None else TrainConfig()
-    spectral = spectral if spectral is not None else SpectralConfig(k=k)
+    spectral = spectral if spectral is not None else SpectralConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: list[ExperimentReport] = []
@@ -451,7 +382,6 @@ def run_grid(
                             activation=activation,
                             dropout=dropout,
                             method=method,
-                            k=k,
                             layer_widths=tuple(layer_widths),
                             train=replace(train_cfg, rng_seed=seed),
                             spectral=spectral,
@@ -584,15 +514,15 @@ def ordering_summary(reports) -> dict:
     whether enabling dropout lowered the ncut. Both are reported per seed
     and on per-cell means, with no claim asserted.
     """
-    by_seed: dict = {}
-    for r in reports:
-        by_seed.setdefault(r.seed, []).append(r)
+    # rows are (method, dataset, activation, dropout, ncut) tuples, the cell
+    # key of _cell_key followed by the ncut
+    activation, dropout = 2, 3
 
-    def _pairs(rs, fixed_keys, vary_key, lo_value, hi_value):
+    def _pairs(rows, vary, lo_value, hi_value):
         index = {}
-        for r in rs:
-            key = tuple(getattr(r, k) for k in fixed_keys)
-            index.setdefault(key, {})[getattr(r, vary_key)] = r.ncut
+        for row in rows:
+            fixed = row[:vary] + row[vary + 1 : 4]
+            index.setdefault(fixed, {})[row[vary]] = row[4]
         out = {}
         for key, vals in sorted(index.items(), key=lambda kv: tuple(map(str, kv[0]))):
             if lo_value in vals and hi_value in vals:
@@ -600,30 +530,18 @@ def ordering_summary(reports) -> dict:
                 out[name] = bool(vals[lo_value] < vals[hi_value])
         return out
 
+    by_seed: dict = {}
+    for r in reports:
+        by_seed.setdefault(r.seed, []).append((*_cell_key(r), r.ncut))
     ordering_per_seed = {}
     dropout_per_seed = {}
-    for seed, rs in sorted(by_seed.items(), key=lambda kv: str(kv[0])):
-        ordering_per_seed[str(seed)] = _pairs(
-            rs, ("method", "dataset", "dropout"), "activation", "sigmoid", "relu"
-        )
-        dropout_per_seed[str(seed)] = _pairs(
-            rs, ("method", "dataset", "activation"), "dropout", True, False
-        )
+    for seed, rows in sorted(by_seed.items(), key=lambda kv: str(kv[0])):
+        ordering_per_seed[str(seed)] = _pairs(rows, activation, "sigmoid", "relu")
+        dropout_per_seed[str(seed)] = _pairs(rows, dropout, True, False)
 
-    means = _cell_means(reports)
-
-    class _MeanRow:
-        def __init__(self, key, ncut):
-            self.method, self.dataset, self.activation, self.dropout = key
-            self.ncut = ncut
-
-    mean_rows = [_MeanRow(k, v["ncut"]) for k, v in means.items()]
-    ordering_mean = _pairs(
-        mean_rows, ("method", "dataset", "dropout"), "activation", "sigmoid", "relu"
-    )
-    dropout_mean = _pairs(
-        mean_rows, ("method", "dataset", "activation"), "dropout", True, False
-    )
+    mean_rows = [(*key, cell["ncut"]) for key, cell in _cell_means(reports).items()]
+    ordering_mean = _pairs(mean_rows, activation, "sigmoid", "relu")
+    dropout_mean = _pairs(mean_rows, dropout, True, False)
     return {
         "activation_ordering": {
             "per_seed": ordering_per_seed,

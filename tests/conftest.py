@@ -30,7 +30,6 @@ def smoke_config(method="weights", activation="relu", dropout=False, seed=0, k=4
         activation=activation,
         dropout=dropout,
         method=method,
-        k=k,
         layer_widths=SMOKE_WIDTHS,
         train=TrainConfig(epochs=1, rng_seed=seed),
         spectral=SpectralConfig(k=k, rng_seed=0),

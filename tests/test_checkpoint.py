@@ -99,6 +99,16 @@ def test_unknown_activation_tag_rejected(model, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_rejected(model, tmp_path, bad):
+    model.weights[1][2, 3] = bad
+    model.biases[0][1] = -bad
+    path = tmp_path / "model.mlpc"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match="non-finite .* parameters W1, b0$"):
+        load_checkpoint(path)
+
+
 def test_interrupted_write_leaves_no_file(model, tmp_path, monkeypatch):
     path = tmp_path / "model.mlpc"
     real_write_bytes = Path.write_bytes

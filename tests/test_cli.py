@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mlpmod.checkpoint import save_checkpoint
@@ -90,6 +91,32 @@ def test_degenerate_checkpoint_exit_code_3(tmp_path):
     )
     assert proc.returncode == 3
     assert "numerical failure" in proc.stderr
+
+
+def test_non_finite_checkpoint_is_data_error(tmp_path):
+    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0)
+    model.weights[0][0, 0] = np.nan
+    ckpt = tmp_path / "nan.mlpc"
+    save_checkpoint(model, ckpt)
+    proc = run_cli(
+        "analyze", "--checkpoint", str(ckpt), "--method", "weights",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr and "non-finite" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["weights", "spearman"])
+def test_checkpoint_data_width_mismatch_is_data_error(smoke_data_dir, tmp_path, method):
+    ckpt = tmp_path / "narrow.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(100, 8, 10)), 0), ckpt)
+    proc = run_cli(
+        "analyze", "--checkpoint", str(ckpt), "--method", method,
+        "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr
+    assert "784 pixels" in proc.stderr and "100 neurons" in proc.stderr
 
 
 def test_output_path_under_regular_file_is_data_error(tmp_path):

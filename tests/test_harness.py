@@ -99,6 +99,12 @@ def test_fingerprint_tracks_training_inputs():
     assert checkpoint_filename(base).endswith(".mlpc")
 
 
+def test_fingerprint_is_pinned():
+    # cached checkpoint file names embed the fingerprint
+    assert config_fingerprint(ExperimentConfig()) == "e67097a78732"
+    assert config_fingerprint(smoke_config("weights")) == "57f6e7492334"
+
+
 def test_missing_data_surfaces_stage_and_cause(tmp_path):
     with pytest.raises(StageError, match="load-data") as err:
         run_experiment(smoke_config("weights"), tmp_path / "nowhere", tmp_path)
@@ -110,9 +116,7 @@ def test_analyze_checkpoint_round_trip(smoke_data_dir, tmp_path):
     cfg = smoke_config("weights")
     pipeline = run_experiment(cfg, smoke_data_dir, tmp_path)
     ckpt = tmp_path / "checkpoints" / pipeline.checkpoint
-    analysis = analyze_checkpoint(
-        ckpt, "weights", spectral=SpectralConfig(k=4, rng_seed=0), k=4
-    )
+    analysis = analyze_checkpoint(ckpt, "weights", spectral=SpectralConfig(k=4, rng_seed=0))
     assert analysis.ncut == pipeline.ncut  # bit-identical
     assert analysis.cluster_sizes == pipeline.cluster_sizes
     assert analysis.test_accuracy_percent is None
@@ -134,7 +138,7 @@ def test_analyze_spearman_with_test_split(smoke_data_dir, tmp_path):
     dataset = load_dataset("smoke", smoke_data_dir)
     analysis = analyze_checkpoint(
         ckpt, "spearman", spectral=SpectralConfig(k=4, rng_seed=0),
-        test_set=dataset.test, k=4,
+        test_set=dataset.test,
     )
     assert analysis.ncut == pipeline.ncut
     assert analysis.test_accuracy_percent == pipeline.test_accuracy_percent
@@ -263,10 +267,13 @@ def test_off_protocol_k_flagged(smoke_data_dir, tmp_path):
     assert report.off_protocol_k is True
     assert report.k == 3
     assert len(report.cluster_sizes) == 3
+    analysis = analyze_checkpoint(
+        tmp_path / "checkpoints" / report.checkpoint, "weights", spectral=cfg.spectral
+    )
+    assert (analysis.k, analysis.off_protocol_k) == (3, True)
+    assert analysis.cluster_sizes == report.cluster_sizes
 
 
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="method"):
         smoke_config("pearson")
-    with pytest.raises(ValueError, match="k must be"):
-        ExperimentConfig(k=1)
