@@ -6,7 +6,8 @@ of a partition reacts to where the boundary is drawn.
 
 import numpy as np
 
-from mlpmod import build_weight_adjacency, cut_weight, degrees, ncut, volume
+from mlpmod import build_weight_adjacency
+from mlpmod.graph import cut_weight, ncut, volume
 
 # a 1-2-1 network: one input, two hidden units, one output
 weights = [
@@ -16,7 +17,7 @@ weights = [
 adjacency = build_weight_adjacency(weights, (1, 2, 1))
 print("adjacency (|weight| on adjacent-layer edges, nodes 0..3):")
 print(adjacency)
-print("degrees:", degrees(adjacency))
+print("degrees:", adjacency.sum(axis=1))
 
 # partition A: input+hidden0 vs hidden1+output
 labels_a = np.array([0, 0, 1, 1])

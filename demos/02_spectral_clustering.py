@@ -6,7 +6,8 @@ connected by weak edges are still recovered exactly.
 
 import numpy as np
 
-from mlpmod import SpectralConfig, cluster_graph, ncut
+from mlpmod import SpectralConfig, cluster_graph
+from mlpmod.graph import ncut
 
 rng = np.random.default_rng(0)
 

@@ -7,13 +7,8 @@ Everything happens in a temporary directory; runs in a couple of seconds.
 import tempfile
 from pathlib import Path
 
-from mlpmod import (
-    ExperimentConfig,
-    SpectralConfig,
-    TrainConfig,
-    make_synthetic_dataset,
-    run_experiment,
-)
+from mlpmod import ExperimentConfig, SpectralConfig, TrainConfig, run_experiment
+from mlpmod.data import make_synthetic_dataset
 
 workdir = Path(tempfile.mkdtemp(prefix="mlpmod-demo-"))
 data_dir = workdir / "data"

@@ -6,7 +6,8 @@ dead-unit convention, and a full correlation adjacency for a toy network.
 
 import numpy as np
 
-from mlpmod import build_correlation_adjacency, rank_transform, spearman
+from mlpmod import build_correlation_adjacency
+from mlpmod.correlation import rank_transform, spearman
 
 # ranks with ties share the mean of the positions they span
 print("rank_transform([5, 5, 1]) ->", rank_transform([5.0, 5.0, 1.0]).tolist())

@@ -9,80 +9,11 @@ the partition is scored with the exact normalized cut; lower means more
 modular.
 """
 
-from .correlation import (
-    build_correlation_adjacency,
-    rank_columns,
-    rank_transform,
-    spearman,
-    standardized_rank_columns,
-)
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (
-    DataError,
-    Dataset,
-    LabeledImageSet,
-    load_dataset,
-    load_idx_images,
-    load_idx_labels,
-    load_split_files,
-    make_synthetic_dataset,
-    write_idx_images,
-    write_idx_labels,
-)
-from .graph import (
-    build_weight_adjacency,
-    cut_weight,
-    degree,
-    degrees,
-    layer_starts,
-    ncut,
-    neuron_index,
-    neuron_position,
-    total_neurons,
-    validate_adjacency,
-    volume,
-)
-from .harness import (
-    DROPOUT_RATE,
-    METHODS,
-    ExperimentConfig,
-    ExperimentReport,
-    GridResult,
-    StageError,
-    analyze_checkpoint,
-    ordering_summary,
-    render_method_table,
-    run_experiment,
-    run_grid,
-)
-from .mlp import (
-    ACTIVATIONS,
-    DEFAULT_LAYER_WIDTHS,
-    AdamState,
-    MlpArchitecture,
-    MlpModel,
-    TrainConfig,
-    TrainingDivergedError,
-    adam_step,
-    evaluate_accuracy,
-    forward,
-    init_model,
-    loss_and_gradients,
-    record_activations,
-    sample_dropout_masks,
-    softmax_cross_entropy,
-    train,
-)
-from .spectral import (
-    ClusteringResult,
-    EigensolverError,
-    SpectralConfig,
-    cluster_graph,
-    kmeans,
-    kmeans_single,
-    normalized_laplacian,
-    row_normalize,
-    smallest_eigenvectors,
-)
+from .checkpoint import load_checkpoint
+from .correlation import build_correlation_adjacency
+from .graph import build_weight_adjacency
+from .harness import ExperimentConfig, analyze_checkpoint, run_experiment, run_grid
+from .mlp import TrainConfig
+from .spectral import SpectralConfig, cluster_graph
 
 __version__ = "0.1.0"

@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import CheckpointError, save_checkpoint
 from .data import DataError, load_dataset, load_splits
 from .harness import (
@@ -25,8 +23,8 @@ from .harness import (
     run_grid,
     write_grid_csv,
 )
-from .mlp import TrainConfig, TrainingDivergedError, train
-from .spectral import EigensolverError, SpectralConfig
+from .mlp import TrainConfig, train
+from .spectral import SpectralConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,22 +177,13 @@ _COMMANDS = {
 
 # OSError covers missing inputs and unwritable or invalid output paths alike
 _DATA_ERRORS = (DataError, CheckpointError, OSError)
-_NUMERICAL_ERRORS = (
-    TrainingDivergedError,
-    EigensolverError,
-    np.linalg.LinAlgError,
-    ArithmeticError,
-)
 
 
 def _classify(exc: BaseException) -> int:
+    """Exit code of an uncaught error: data errors give 2, all else 3."""
     if isinstance(exc, StageError) and exc.__cause__ is not None:
         return _classify(exc.__cause__)
-    if isinstance(exc, _DATA_ERRORS):
-        return EXIT_DATA
-    if isinstance(exc, _NUMERICAL_ERRORS):
-        return EXIT_NUMERICAL
-    return EXIT_NUMERICAL
+    return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

@@ -58,29 +58,22 @@ def rank_columns(table: np.ndarray) -> np.ndarray:
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman correlation: Pearson correlation of the rank vectors.
 
-    Returns 0.0 when either input is constant (rank variance zero), instead
-    of propagating a 0/0.
+    The dot product of the two :func:`standardized_rank_columns`, so it is
+    0.0 when either input is constant (rank variance zero).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    rx = rank_transform(x)
-    ry = rank_transform(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    nx = np.linalg.norm(rx)
-    ny = np.linalg.norm(ry)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(rx, ry) / (nx * ny))
+    zx, zy = standardized_rank_columns(np.stack([x, y], axis=1)).T
+    return float(zx @ zy)
 
 
 def standardized_rank_columns(table: np.ndarray) -> np.ndarray:
     """Rank each column, center it, scale to unit norm.
 
-    Constant columns become all-zero so that any dot product with them is 0,
-    matching the constant-vector convention of :func:`spearman`.
+    Constant columns become all-zero so that any dot product with them is 0:
+    a constant vector has no defined rank correlation.
     """
     ranks = rank_columns(table)
     ranks -= ranks.mean(axis=0, keepdims=True)

@@ -15,13 +15,8 @@ import numpy as np
 
 __all__ = [
     "layer_starts",
-    "total_neurons",
-    "neuron_index",
-    "neuron_position",
     "adjacency_from_blocks",
     "build_weight_adjacency",
-    "validate_adjacency",
-    "degrees",
     "degree",
     "volume",
     "cut_weight",
@@ -39,30 +34,6 @@ def layer_starts(layer_widths: Sequence[int]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(widths)])
 
 
-def total_neurons(layer_widths: Sequence[int]) -> int:
-    return int(layer_starts(layer_widths)[-1])
-
-
-def neuron_index(layer_widths: Sequence[int], layer: int, offset: int) -> int:
-    """Global node index of the neuron at ``offset`` within ``layer``."""
-    starts = layer_starts(layer_widths)
-    if not 0 <= layer < len(layer_widths):
-        raise ValueError(f"layer {layer} out of range")
-    if not 0 <= offset < layer_widths[layer]:
-        raise ValueError(f"offset {offset} out of range for layer {layer}")
-    return int(starts[layer] + offset)
-
-
-def neuron_position(layer_widths: Sequence[int], index: int) -> tuple[int, int]:
-    """Inverse of :func:`neuron_index`: global node index -> (layer, offset)."""
-    starts = layer_starts(layer_widths)
-    n = int(starts[-1])
-    if not 0 <= index < n:
-        raise ValueError(f"node index {index} out of range for {n} neurons")
-    layer = int(np.searchsorted(starts, index, side="right") - 1)
-    return layer, index - int(starts[layer])
-
-
 def adjacency_from_blocks(
     layer_widths: Sequence[int], blocks: Iterable[np.ndarray]
 ) -> np.ndarray:
@@ -70,7 +41,8 @@ def adjacency_from_blocks(
 
     ``blocks`` yields one block per adjacent layer pair, in order; block
     ``t`` has shape ``(widths[t], widths[t+1])``, rows in layer ``t`` and
-    columns in layer ``t+1``. Every other entry is zero.
+    columns in layer ``t+1``. Every other entry is zero, so the result is
+    symmetric with a zero diagonal by construction.
     """
     starts = layer_starts(layer_widths)
     n = int(starts[-1])
@@ -110,47 +82,6 @@ def build_weight_adjacency(
             )
         blocks.append(np.abs(w).T)  # rows: layer t, cols: layer t+1
     return adjacency_from_blocks(widths, blocks)
-
-
-def validate_adjacency(
-    adjacency: np.ndarray,
-    layer_widths: Sequence[int] | None = None,
-    atol: float = 0.0,
-) -> None:
-    """Raise ``ValueError`` unless ``adjacency`` is a valid graph matrix.
-
-    Checks symmetry, nonnegativity and a zero diagonal; with ``layer_widths``
-    given, additionally checks that nonzeros appear only in adjacent-layer
-    blocks.
-    """
-    a = np.asarray(adjacency)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if not np.all(np.abs(a - a.T) <= atol):
-        raise ValueError("adjacency is not symmetric")
-    if np.any(a < 0):
-        raise ValueError("adjacency has negative entries")
-    if np.any(np.abs(np.diag(a)) > atol):
-        raise ValueError("adjacency has nonzero diagonal entries")
-    if layer_widths is not None:
-        starts = layer_starts(layer_widths)
-        if a.shape[0] != starts[-1]:
-            raise ValueError(
-                f"adjacency has {a.shape[0]} nodes, widths imply {starts[-1]}"
-            )
-        allowed = np.zeros(a.shape, dtype=bool)
-        for t in range(len(layer_widths) - 1):
-            r0, r1 = starts[t], starts[t + 1]
-            c0, c1 = starts[t + 1], starts[t + 2]
-            allowed[r0:r1, c0:c1] = True
-            allowed[c0:c1, r0:r1] = True
-        if np.any(a[~allowed] != 0):
-            raise ValueError("nonzero entries outside adjacent-layer blocks")
-
-
-def degrees(adjacency: np.ndarray) -> np.ndarray:
-    """Row sums: the degree of every node."""
-    return np.asarray(adjacency, dtype=np.float64).sum(axis=1)
 
 
 def degree(adjacency: np.ndarray, node: int) -> float:

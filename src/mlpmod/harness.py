@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import os
 import time
 from contextlib import contextmanager
@@ -19,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .correlation import build_correlation_adjacency
 from .data import DataError, LabeledImageSet, load_dataset
-from .graph import build_weight_adjacency, validate_adjacency
+from .graph import build_weight_adjacency
 from .mlp import (
     DEFAULT_LAYER_WIDTHS,
     MlpArchitecture,
@@ -53,6 +54,8 @@ __all__ = [
     "ordering_summary",
     "load_reports",
 ]
+
+log = logging.getLogger(__name__)
 
 METHODS = ("weights", "spearman")
 DROPOUT_RATE = 0.5  # rate used whenever dropout is enabled
@@ -141,10 +144,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
-
     def write_json(self, path) -> None:
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
         tmp = Path(str(path) + ".tmp")
@@ -153,7 +152,17 @@ class ExperimentReport:
 
     @classmethod
     def read_json(cls, path) -> "ExperimentReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Parse a report file; ``DataError`` names the file and its fault."""
+        try:
+            d = json.loads(Path(path).read_text())
+        except ValueError as e:
+            raise DataError(f"{path}: not a JSON report: {e}") from e
+        if not isinstance(d, dict):
+            raise DataError(f"{path}: not a JSON report: top level is not an object")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise DataError(f"{path}: report lacks keys {', '.join(missing)}")
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -188,18 +197,14 @@ def report_filename(cfg: ExperimentConfig) -> str:
 
 
 def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | None):
-    widths = model.architecture.layer_widths
     if method == "weights":
-        adjacency = build_weight_adjacency(model.weights, widths)
-    elif method == "spearman":
+        return build_weight_adjacency(model.weights, model.architecture.layer_widths)
+    if method == "spearman":
         if test_set is None:
             raise ValueError("the spearman method needs the test split")
         table = record_activations(model, test_set.images)
-        adjacency = build_correlation_adjacency(table, model.architecture)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    validate_adjacency(adjacency, widths, atol=1e-12)
-    return adjacency
+        return build_correlation_adjacency(table, model.architecture)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _analyze_model(
@@ -244,6 +249,26 @@ def _analyze_model(
     )
 
 
+def _load_cached(path: Path, arch: MlpArchitecture) -> MlpModel | None:
+    """The model cached at ``path``, or None when there is none to reuse.
+
+    A corrupt checkpoint or one of another architecture is logged and
+    treated as absent, so the caller retrains and overwrites it.
+    """
+    if not path.is_file():
+        return None
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError as e:
+        cause = str(e)
+    else:
+        if model.architecture == arch:
+            return model
+        cause = f"it holds {model.architecture}, expected {arch}"
+    log.warning("retraining over unusable cached checkpoint %s: %s", path, cause)
+    return None
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     data_dir,
@@ -253,7 +278,8 @@ def run_experiment(
     """Run one experiment end to end and persist its artifacts.
 
     Trains the model unless a checkpoint for the same config fingerprint
-    already exists under ``out_dir/checkpoints``; writes the report JSON to
+    already exists under ``out_dir/checkpoints``; a corrupt or mismatched
+    cached checkpoint is retrained and overwritten. Writes the report JSON to
     ``out_dir/reports``. Deterministic for fixed seeds.
     """
     out_dir = Path(out_dir)
@@ -272,8 +298,8 @@ def run_experiment(
 
     ckpt_path = out_dir / "checkpoints" / checkpoint_filename(cfg)
     with _stage("train-or-load", wall_times):
-        if ckpt_path.is_file():
-            model = load_checkpoint(ckpt_path)
+        model = _load_cached(ckpt_path, cfg.architecture)
+        if model is not None:
             accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
         else:
             model, accuracy = train(dataset, cfg.architecture, cfg.train)

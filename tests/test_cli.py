@@ -187,6 +187,19 @@ def test_report_command_empty_dir_is_data_error(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "content, fault",
+    [("{not json", "not a JSON report"), ('{"method": "weights"}', "lacks keys")],
+)
+def test_report_command_malformed_report_is_data_error(tmp_path, content, fault):
+    (tmp_path / "report_bad.json").write_text(content)
+    proc = run_cli("report", "--in", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr
+    assert "report_bad.json" in proc.stderr
+    assert fault in proc.stderr
+
+
 @pytest.mark.slow
 def test_train_cli_full_shape(full_shape_mnist_dir, tmp_path):
     # full-size synthetic stand-in so the mnist split-size contract holds

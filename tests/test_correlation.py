@@ -10,7 +10,9 @@ from mlpmod.correlation import (
     spearman,
     standardized_rank_columns,
 )
-from mlpmod.graph import build_weight_adjacency, validate_adjacency
+from mlpmod.graph import build_weight_adjacency
+
+from test_graph import assert_layered_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_adjacency_matches_per_edge_oracle():
     widths = (2, 3, 2)
     table = rng.integers(0, 6, size=(12, 7)).astype(float)
     a = build_correlation_adjacency(table, widths)
-    validate_adjacency(a, widths)
+    assert_layered_adjacency(a, widths)
     starts = [0, 2, 5, 7]
     for layer in range(2):
         for i in range(starts[layer], starts[layer + 1]):
@@ -196,7 +198,7 @@ def test_same_sparsity_pattern_as_weight_adjacency():
     c_adj = build_correlation_adjacency(table, widths)
     # identical allowed blocks: wherever one can be nonzero, so can the other
     np.testing.assert_array_equal(w_adj == 0, np.where(c_adj == 0, True, False) | (w_adj == 0))
-    validate_adjacency(c_adj, widths)
+    assert_layered_adjacency(c_adj, widths)
 
 
 def test_table_size_must_match_architecture():

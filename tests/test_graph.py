@@ -5,13 +5,8 @@ from mlpmod.graph import (
     build_weight_adjacency,
     cut_weight,
     degree,
-    degrees,
     layer_starts,
     ncut,
-    neuron_index,
-    neuron_position,
-    total_neurons,
-    validate_adjacency,
     volume,
 )
 
@@ -71,6 +66,20 @@ def random_partition(rng, a, k):
     raise RuntimeError("could not sample a valid partition")
 
 
+def assert_layered_adjacency(a, widths):
+    """Symmetric, non-negative, and nonzero only in the blocks that join
+    adjacent layers, so the diagonal is zero too."""
+    starts = layer_starts(widths)
+    assert a.shape == (starts[-1], starts[-1])
+    np.testing.assert_array_equal(a, a.T)
+    assert np.all(a >= 0)
+    off_block = a.copy()
+    for t in range(len(widths) - 1):
+        off_block[starts[t] : starts[t + 1], starts[t + 1] : starts[t + 2]] = 0
+        off_block[starts[t + 1] : starts[t + 2], starts[t] : starts[t + 1]] = 0
+    assert not off_block.any(), "nonzero entries outside adjacent-layer blocks"
+
+
 def path_graph(n):
     a = np.zeros((n, n))
     for i in range(n - 1):
@@ -95,29 +104,6 @@ def test_layer_starts_and_totals():
     widths = (784, 256, 256, 256, 256, 10)
     starts = layer_starts(widths)
     assert starts.tolist() == [0, 784, 1040, 1296, 1552, 1808, 1818]
-    assert total_neurons(widths) == 1818
-
-
-def test_neuron_index_bijection():
-    widths = (3, 5, 2)
-    seen = set()
-    for layer, width in enumerate(widths):
-        for offset in range(width):
-            seen.add(neuron_index(widths, layer, offset))
-    assert seen == set(range(10))
-    for idx in range(10):
-        layer, offset = neuron_position(widths, idx)
-        assert neuron_index(widths, layer, offset) == idx
-
-
-def test_neuron_index_range_errors():
-    widths = (2, 2)
-    with pytest.raises(ValueError):
-        neuron_index(widths, 2, 0)
-    with pytest.raises(ValueError):
-        neuron_index(widths, 0, 2)
-    with pytest.raises(ValueError):
-        neuron_position(widths, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +118,7 @@ def test_build_weight_adjacency_1_2_1():
     expected[1, 3] = expected[3, 1] = 0.5
     expected[2, 3] = expected[3, 2] = 4.0
     np.testing.assert_array_equal(a, expected)
-    validate_adjacency(a, (1, 2, 1))
+    assert_layered_adjacency(a, (1, 2, 1))
 
 
 def test_build_weight_adjacency_zero_weights():
@@ -159,7 +145,7 @@ def test_build_weight_adjacency_default_architecture_pattern():
     ]
     a = build_weight_adjacency(weights, widths)
     assert a.shape == (1818, 1818)
-    validate_adjacency(a, widths)
+    assert_layered_adjacency(a, widths)
     # construction oracle: every adjacent-layer entry must equal |w|
     starts = layer_starts(widths)
     for t in range(len(widths) - 1):
@@ -177,7 +163,7 @@ def test_build_weight_adjacency_invariants_random():
             for t in range(n_layers - 1)
         ]
         a = build_weight_adjacency(weights, widths)
-        validate_adjacency(a, widths)
+        assert_layered_adjacency(a, widths)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +191,6 @@ def test_degree_matches_row_sum_oracle():
     a = random_adjacency(rng, 8)
     for i in range(8):
         assert degree(a, i) == pytest.approx(naive_degree(a, i), rel=1e-12)
-    np.testing.assert_allclose(degrees(a), [naive_degree(a, i) for i in range(8)])
 
 
 def test_volume_whole_set_is_twice_total_weight():
@@ -332,18 +317,3 @@ def test_ncut_zero_iff_no_crossing_edges():
     crossing = np.array([0, 1, 1, 2, 2, 2, 0, 0, 0])
     assert ncut(a, crossing, 3) > 0.0
 
-
-def test_validate_adjacency_rejections():
-    bad_sym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        validate_adjacency(bad_sym)
-    bad_neg = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError, match="negative"):
-        validate_adjacency(bad_neg)
-    bad_diag = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="diagonal"):
-        validate_adjacency(bad_diag)
-    off_block = np.zeros((4, 4))
-    off_block[0, 3] = off_block[3, 0] = 1.0  # input to output: not adjacent
-    with pytest.raises(ValueError, match="adjacent-layer"):
-        validate_adjacency(off_block, (1, 2, 1))

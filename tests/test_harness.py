@@ -1,4 +1,6 @@
 import json
+import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,40 @@ def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, mon
     rerun = run_experiment(cfg, smoke_data_dir, tmp_path / "run")
     fresh = run_experiment(cfg, smoke_data_dir, tmp_path / "fresh")
     assert _strip_wall_times(rerun.to_dict()) == _strip_wall_times(fresh.to_dict())
+
+
+def _rerun_matches_clean_run(cfg, smoke_data_dir, tmp_path, caplog):
+    """Rerun ``cfg`` over the planted checkpoint under ``tmp_path/run``; it
+    must log the file, retrain, and end like a run that never saw it."""
+    ckpt = tmp_path / "run" / "checkpoints" / checkpoint_filename(cfg)
+    with caplog.at_level(logging.WARNING, logger="mlpmod.harness"):
+        rerun = run_experiment(cfg, smoke_data_dir, tmp_path / "run")
+    assert ckpt.name in caplog.text
+    fresh = run_experiment(cfg, smoke_data_dir, tmp_path / "fresh")
+    assert _strip_wall_times(rerun.to_dict()) == _strip_wall_times(fresh.to_dict())
+    assert ckpt.read_bytes() == (tmp_path / "fresh" / "checkpoints" / ckpt.name).read_bytes()
+
+
+def test_truncated_cached_checkpoint_is_retrained(smoke_data_dir, tmp_path, caplog):
+    cfg = smoke_config("weights")
+    run_experiment(cfg, smoke_data_dir, tmp_path / "run")
+    ckpt = tmp_path / "run" / "checkpoints" / checkpoint_filename(cfg)
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    _rerun_matches_clean_run(cfg, smoke_data_dir, tmp_path, caplog)
+    assert "truncated checkpoint" in caplog.text
+
+
+def test_other_activation_cached_checkpoint_is_retrained(smoke_data_dir, tmp_path, caplog):
+    cfg = smoke_config("weights")
+    other = smoke_config("weights", activation="sigmoid")
+    run_experiment(other, smoke_data_dir, tmp_path / "other")
+    (tmp_path / "run" / "checkpoints").mkdir(parents=True)
+    shutil.copy(
+        tmp_path / "other" / "checkpoints" / checkpoint_filename(other),
+        tmp_path / "run" / "checkpoints" / checkpoint_filename(cfg),
+    )
+    _rerun_matches_clean_run(cfg, smoke_data_dir, tmp_path, caplog)
+    assert "activation='sigmoid'" in caplog.text
 
 
 def test_fingerprint_tracks_training_inputs():
