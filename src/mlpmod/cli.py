@@ -77,14 +77,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config(factory, **values):
+    """``factory(**values)`` for command-line values; the ``ValueError`` of a
+    config's validation becomes a usage error."""
+    try:
+        return factory(**values)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
 def _cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset, args.data_dir)
     cfg = ExperimentConfig(
         dataset=args.dataset,
         activation=args.activation,
         dropout=args.dropout,
-        train=TrainConfig(epochs=args.epochs, rng_seed=args.seed),
+        train=_config(TrainConfig, epochs=args.epochs, rng_seed=args.seed),
     )
+    dataset = load_dataset(args.dataset, args.data_dir)
     model, accuracy = train(dataset, cfg.architecture, cfg.train)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -110,15 +119,11 @@ def _cmd_train(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.method == "spearman" and args.data_dir is None:
         raise UsageError("--method spearman requires --data-dir with the test split")
+    spectral = _config(SpectralConfig, k=args.k, rng_seed=args.seed)
     test_set = None
     if args.data_dir is not None:
         test_set = load_splits(args.data_dir, ["test"])["test"]
-    report = analyze_checkpoint(
-        args.checkpoint,
-        args.method,
-        spectral=SpectralConfig(k=args.k, rng_seed=args.seed),
-        test_set=test_set,
-    )
+    report = analyze_checkpoint(args.checkpoint, args.method, spectral, test_set)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"analysis_{Path(args.checkpoint).stem}_{args.method}.json"
@@ -135,11 +140,13 @@ def _cmd_grid(args) -> int:
         raise UsageError(f"bad --seeds value {args.seeds!r}") from e
     if not seeds:
         raise UsageError("--seeds must name at least one seed")
+    if min(seeds) < 0:
+        raise UsageError(f"bad --seeds value {args.seeds!r}: seeds must be non-negative")
     result = run_grid(
         args.data_dir,
         args.out,
         seeds=seeds,
-        train_cfg=TrainConfig(epochs=args.epochs),
+        train_cfg=_config(TrainConfig, epochs=args.epochs),
         progress=lambda msg: print(msg, flush=True),
     )
     for method, table in result.tables.items():
@@ -196,9 +203,6 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:

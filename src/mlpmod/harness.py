@@ -30,6 +30,7 @@ from .mlp import (
     MlpModel,
     TrainConfig,
     evaluate_accuracy,
+    logit_accuracy,
     record_activations,
     train,
 )
@@ -162,7 +163,32 @@ class ExperimentReport:
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:
             raise DataError(f"{path}: report lacks keys {', '.join(missing)}")
+        wrong = [
+            f"{f.name} (expected {f.type}, got {type(d[f.name]).__name__})"
+            for f in fields(cls)
+            if not _is_json_type(d[f.name], f.type)
+        ]
+        if wrong:
+            raise DataError(f"{path}: report values of the wrong type: {', '.join(wrong)}")
         return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
+# JSON value types of the report's field annotations; a float may be
+# written as an integer, but a bool is a number only to Python
+_JSON_TYPES = {
+    "str": (str,),
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "list": (list,),
+    "dict": (dict,),
+    "None": (type(None),),
+}
+
+
+def _is_json_type(value, annotation: str) -> bool:
+    allowed = tuple(t for name in annotation.split(" | ") for t in _JSON_TYPES[name])
+    return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -197,13 +223,16 @@ def report_filename(cfg: ExperimentConfig) -> str:
 
 
 def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | None):
+    """``model``'s graph under ``method``, with the test-set logits when the
+    build ran the test set through the model (spearman), else None."""
     if method == "weights":
-        return build_weight_adjacency(model.weights, model.architecture.layer_widths)
+        return build_weight_adjacency(model.weights, model.architecture.layer_widths), None
     if method == "spearman":
         if test_set is None:
             raise ValueError("the spearman method needs the test split")
         table = record_activations(model, test_set.images)
-        return build_correlation_adjacency(table, model.architecture)
+        logits = table[:, -model.architecture.layer_widths[-1] :]
+        return build_correlation_adjacency(table, model.architecture), logits
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -213,13 +242,26 @@ def _analyze_model(
     test_set: LabeledImageSet | None,
     spectral: SpectralConfig,
     wall_times: dict,
+    accuracy: float | None = None,
     **provenance,
 ) -> ExperimentReport:
     """Build ``model``'s graph under ``method``, cluster it and assemble the
     report; ``provenance`` supplies the fields the model does not determine
-    (dataset, seed, accuracy, checkpoint name, training config)."""
+    (dataset, seed, checkpoint name, training config).
+
+    ``accuracy`` is the test accuracy as a fraction when the caller knows
+    it. Otherwise it is measured on ``test_set``, if given, from the logits
+    the spearman graph build recorded, so that method runs the test set
+    through the model once.
+    """
     with _stage("adjacency", wall_times):
-        adjacency = _build_adjacency(method, model, test_set)
+        adjacency, logits = _build_adjacency(method, model, test_set)
+    if accuracy is None and test_set is not None:
+        with _stage("accuracy", wall_times):
+            if logits is None:
+                accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
+            else:
+                accuracy = logit_accuracy(logits, test_set.labels)
     with _stage("cluster", wall_times):
         result = cluster_graph(adjacency, spectral)
     arch = model.architecture
@@ -236,6 +278,7 @@ def _analyze_model(
         dropout=arch.dropout_rate > 0,
         method=method,
         k=spectral.k,
+        test_accuracy_percent=None if accuracy is None else 100.0 * accuracy,
         layer_widths=list(arch.layer_widths),
         ncut=float(result.ncut_value),
         cluster_sizes=sizes,
@@ -299,9 +342,8 @@ def run_experiment(
     ckpt_path = out_dir / "checkpoints" / checkpoint_filename(cfg)
     with _stage("train-or-load", wall_times):
         model = _load_cached(ckpt_path, cfg.architecture)
-        if model is not None:
-            accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
-        else:
+        accuracy = None  # a cached model's is measured by _analyze_model
+        if model is None:
             model, accuracy = train(dataset, cfg.architecture, cfg.train)
             save_checkpoint(model, ckpt_path)
 
@@ -311,9 +353,9 @@ def run_experiment(
         dataset.test,
         cfg.spectral,
         wall_times,
+        accuracy=accuracy,
         dataset=cfg.dataset,
         seed=cfg.train.rng_seed,
-        test_accuracy_percent=100.0 * accuracy,
         checkpoint=ckpt_path.name,
         train_config=asdict(cfg.train),
     )
@@ -342,16 +384,12 @@ def analyze_checkpoint(
     wall_times: dict = {}
     with _stage("load-checkpoint", wall_times):
         model = load_checkpoint(checkpoint_path)
-    accuracy = None
-    if test_set is not None:
-        n_inputs = model.architecture.layer_widths[0]
-        if test_set.images.shape[1] != n_inputs:
-            raise DataError(
-                f"test images have {test_set.images.shape[1]} pixels but the "
-                f"checkpoint's input layer has {n_inputs} neurons"
-            )
-        with _stage("accuracy", wall_times):
-            accuracy = 100.0 * evaluate_accuracy(model, test_set.images, test_set.labels)
+    n_inputs = model.architecture.layer_widths[0]
+    if test_set is not None and test_set.images.shape[1] != n_inputs:
+        raise DataError(
+            f"test images have {test_set.images.shape[1]} pixels but the "
+            f"checkpoint's input layer has {n_inputs} neurons"
+        )
     return _analyze_model(
         model,
         method,
@@ -360,7 +398,6 @@ def analyze_checkpoint(
         wall_times,
         dataset=None,
         seed=None,
-        test_accuracy_percent=accuracy,
         checkpoint=Path(checkpoint_path).name,
         train_config=None,
     )

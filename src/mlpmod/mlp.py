@@ -34,6 +34,7 @@ __all__ = [
     "adam_step",
     "train",
     "evaluate_accuracy",
+    "logit_accuracy",
     "record_activations",
 ]
 
@@ -104,6 +105,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 def init_model(
@@ -405,11 +408,16 @@ def evaluate_accuracy(
     model: MlpModel, images: np.ndarray, labels: np.ndarray, batch_size: int = 1024
 ) -> float:
     """Fraction of examples whose argmax logit matches the label."""
-    hits = 0
-    for start in range(0, images.shape[0], batch_size):
-        logits = forward(model, images[start : start + batch_size])
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + batch_size]))
-    return hits / images.shape[0]
+    logits = [
+        forward(model, images[start : start + batch_size])
+        for start in range(0, images.shape[0], batch_size)
+    ]
+    return logit_accuracy(np.concatenate(logits), labels)
+
+
+def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows of ``logits`` whose argmax matches the label."""
+    return np.count_nonzero(np.argmax(logits, axis=1) == labels) / logits.shape[0]
 
 
 def record_activations(

@@ -47,6 +47,8 @@ class SpectralConfig:
             raise ValueError("kmeans_restarts must be at least 1")
         if self.kmeans_tol <= 0 or self.eig_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from mlpmod import cli
 from mlpmod.checkpoint import save_checkpoint
 from mlpmod.data import SPLIT_FILES
-from mlpmod.harness import run_experiment
+from mlpmod.harness import ExperimentReport, run_experiment
 from mlpmod.mlp import MlpArchitecture, init_model
 
 from conftest import smoke_config
@@ -182,14 +183,74 @@ def test_report_command_renders_tables(smoke_data_dir, tmp_path):
     assert (tmp_path / "reports" / "grid.csv").is_file()
 
 
+def test_well_typed_report_renders(tmp_path):
+    (tmp_path / "report_ok.json").write_text(_report_with(ncut=2, test_accuracy_percent=None))
+    proc = run_cli("report", "--in", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "2.00" in proc.stdout
+
+
+def test_k_below_two_is_usage_error(tmp_path):
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    proc = run_cli(
+        "analyze", "--checkpoint", str(ckpt), "--method", "weights", "--k", "1",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 1
+    assert "usage error" in proc.stderr and "k must be at least 2" in proc.stderr
+
+
+def test_negative_seed_is_usage_error(tmp_path):
+    proc = run_cli(
+        "grid", "--seeds", "0,-1", "--data-dir", str(tmp_path), "--out", str(tmp_path),
+    )
+    assert proc.returncode == 1
+    assert "--seeds" in proc.stderr
+
+
+def test_value_error_inside_training_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("bad value deep in training")
+
+    monkeypatch.setattr(cli, "load_dataset", lambda name, data_dir: None)
+    monkeypatch.setattr(cli, "train", fail)
+    code = cli.main([
+        "train", "--dataset", "mnist", "--activation", "relu",
+        "--data-dir", str(tmp_path), "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert "numerical failure: bad value deep in training" in capsys.readouterr().err
+
+
 def test_report_command_empty_dir_is_data_error(tmp_path):
     proc = run_cli("report", "--in", str(tmp_path))
     assert proc.returncode == 2
 
 
+def _report_with(**values):
+    report = ExperimentReport(
+        dataset="mnist", activation="relu", dropout=False, method="weights", k=4,
+        seed=0, layer_widths=[784, 10], test_accuracy_percent=97.5, ncut=1.25,
+        cluster_sizes=[400, 394], layer_cluster_counts=[[400, 384], [0, 10]],
+        dropped_nodes=0, kmeans_cost=0.5, checkpoint="model.mlpc",
+        off_protocol_k=False, train_config=None, spectral_config={},
+    )
+    return json.dumps({**report.to_dict(), **values})
+
+
 @pytest.mark.parametrize(
     "content, fault",
-    [("{not json", "not a JSON report"), ('{"method": "weights"}', "lacks keys")],
+    [
+        ("{not json", "not a JSON report"),
+        ('{"method": "weights"}', "lacks keys"),
+        pytest.param(_report_with(ncut="high"), "wrong type: ncut", id="ncut-string"),
+        pytest.param(
+            _report_with(cluster_sizes=3, kmeans_cost=True),
+            "wrong type: cluster_sizes (expected list, got int), kmeans_cost",
+            id="size-int-cost-bool",
+        ),
+    ],
 )
 def test_report_command_malformed_report_is_data_error(tmp_path, content, fault):
     (tmp_path / "report_bad.json").write_text(content)

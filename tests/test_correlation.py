@@ -5,13 +5,15 @@ import pytest
 
 from mlpmod.correlation import (
     build_correlation_adjacency,
-    rank_columns,
     rank_transform,
     spearman,
     standardized_rank_columns,
 )
-from mlpmod.graph import build_weight_adjacency
+from mlpmod.data import load_dataset
+from mlpmod.graph import build_weight_adjacency, layer_starts
+from mlpmod.mlp import MlpArchitecture, init_model, record_activations
 
+from conftest import SMOKE_WIDTHS
 from test_graph import assert_layered_adjacency
 
 
@@ -46,6 +48,27 @@ def naive_spearman(x, y):
     if vx == 0.0 or vy == 0.0:
         return 0.0
     return cov / math.sqrt(vx * vy)
+
+
+# oracle of standardized_rank_columns: rank every column with rank_transform,
+# then center and normalize in float64 over the whole table
+
+def rank_columns(table):
+    """Column-wise :func:`rank_transform` of an (m, n) table."""
+    t = np.asarray(table, dtype=np.float64)
+    out = np.empty_like(t)
+    for j in range(t.shape[1]):
+        out[:, j] = rank_transform(t[:, j])
+    return out
+
+
+def reference_standardized_rank_columns(table):
+    ranks = rank_columns(table)
+    ranks -= ranks.mean(axis=0, keepdims=True)
+    norms = np.linalg.norm(ranks, axis=0)
+    norms[norms == 0.0] = 1.0
+    ranks /= norms
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +242,62 @@ def test_standardized_columns_unit_norm_or_zero():
         assert norms[j] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_accepts_architecture_object():
-    from mlpmod.mlp import MlpArchitecture
+def _ranking_tables():
+    rng = np.random.default_rng(10)
+    constant = rng.integers(-2, 3, size=(30, 6)).astype(float)
+    constant[:, 1] = 0.0
+    constant[:, 4] = 7.5
+    return {
+        # 130 columns: two full blocks of 64 and a partial one
+        "continuous": rng.standard_normal((300, 130)),
+        "integer ties": rng.integers(0, 4, size=(500, 70)).astype(float),
+        "relu zeros": np.maximum(rng.standard_normal((400, 66)), 0.0),
+        "signed zeros": rng.choice([-2.5, -1.0, -0.0, 0.0, 0.0, 3.0], size=(60, 12)),
+        "constant columns": constant,
+        "two rows": np.array([[0.0, 1.0, -0.0, 2.0, 5.0], [0.0, 1.0, 0.0, -1.0, 5.0]]),
+    }
 
+
+@pytest.mark.parametrize("kind", list(_ranking_tables()))
+def test_standardized_ranks_equal_oracle_bit_for_bit(kind):
+    table = _ranking_tables()[kind]
+    got = standardized_rank_columns(table)
+    want = reference_standardized_rank_columns(table)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # same signs of zero, too
+
+
+def test_standardized_ranks_equal_oracle_on_small_random_tables():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        scale = rng.choice([1.0, -0.0, 0.0, 0.5], size=(m, n))
+        table = rng.integers(-3, 4, size=(m, n)) * scale
+        assert np.array_equal(
+            standardized_rank_columns(table), reference_standardized_rank_columns(table)
+        )
+
+
+def test_standardized_ranks_need_two_rows():
+    with pytest.raises(ValueError, match="m >= 2"):
+        standardized_rank_columns(np.zeros((1, 3)))
+
+
+def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
+    model = init_model(MlpArchitecture(layer_widths=SMOKE_WIDTHS), 0)
+    table = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
+    assert np.any(table[:, 784:] == 0.0)  # relu zeros tie in the hidden columns
+    z = reference_standardized_rank_columns(table)
+    starts = layer_starts(SMOKE_WIDTHS)
+    want = np.zeros((starts[-1], starts[-1]))
+    for a, b, c in zip(starts, starts[1:], starts[2:]):
+        want[a:b, b:c] = np.abs(z[:, a:b].T @ z[:, b:c])
+        want[b:c, a:b] = want[a:b, b:c].T
+    got = build_correlation_adjacency(table, SMOKE_WIDTHS)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_accepts_architecture_object():
     rng = np.random.default_rng(9)
     arch = MlpArchitecture(layer_widths=(2, 3, 2))
     table = rng.standard_normal((8, 7))

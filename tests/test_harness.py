@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mlpmod import harness
 from mlpmod.data import DataError, load_dataset
 from mlpmod.harness import (
     ExperimentConfig,
@@ -68,6 +69,24 @@ def test_methods_share_one_checkpoint(smoke_data_dir, tmp_path):
     assert w.ncut != s.ncut  # different adjacency constructions
     ckpts = list((tmp_path / "checkpoints").glob("*.mlpc"))
     assert len(ckpts) == 1
+
+
+def test_spearman_accuracy_comes_from_its_activation_table(
+    smoke_data_dir, tmp_path, monkeypatch
+):
+    cache = {}
+    trained = run_experiment(smoke_config("weights"), smoke_data_dir, tmp_path, cache)
+    monkeypatch.setattr(
+        harness, "evaluate_accuracy", lambda *a: pytest.fail("second test-set pass")
+    )
+    cached = run_experiment(smoke_config("spearman"), smoke_data_dir, tmp_path, cache)
+    analysis = analyze_checkpoint(
+        tmp_path / "checkpoints" / trained.checkpoint, "spearman",
+        spectral=SpectralConfig(k=4, rng_seed=0),
+        test_set=load_dataset("smoke", smoke_data_dir).test,
+    )
+    assert cached.test_accuracy_percent == trained.test_accuracy_percent
+    assert analysis.test_accuracy_percent == trained.test_accuracy_percent
 
 
 def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from mlpmod.mlp import (
     adam_step,
     evaluate_accuracy,
     forward,
+    logit_accuracy,
     init_model,
     loss_and_gradients,
     record_activations,
@@ -384,6 +385,17 @@ def test_evaluate_accuracy_counts_argmax_hits():
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.9, 0.1, 0.0]])
     labels = np.array([0, 1, 1])
     assert evaluate_accuracy(model, x, labels) == pytest.approx(2 / 3)
+
+
+def test_recorded_logits_give_evaluate_accuracy():
+    # several batches of both record_activations (2048) and evaluate_accuracy (1024)
+    rng = np.random.default_rng(12)
+    model = init_model(MlpArchitecture(layer_widths=(20, 16, 16, 4)), 0)
+    x = rng.random((4500, 20))
+    labels = rng.integers(0, 4, size=4500)
+    logits = record_activations(model, x)[:, -4:]
+    np.testing.assert_array_equal(logits, forward(model, x))
+    assert logit_accuracy(logits, labels) == evaluate_accuracy(model, x, labels)
 
 
 # ---------------------------------------------------------------------------
