@@ -1,22 +1,21 @@
 """Spearman-correlation edge weights, step by step.
 
-Shows the average-rank tie convention, a worked correlation with a tie, the
-dead-unit convention, and a full correlation adjacency for a toy network.
+Shows a monotone relation, a worked correlation with a tie under the
+average-rank convention, the dead-unit convention, and a full correlation
+adjacency for a toy network.
 """
 
 import numpy as np
 
 from mlpmod import build_correlation_adjacency
-from mlpmod.correlation import rank_transform, spearman
-
-# ranks with ties share the mean of the positions they span
-print("rank_transform([5, 5, 1]) ->", rank_transform([5.0, 5.0, 1.0]).tolist())
+from mlpmod.correlation import spearman
 
 # a monotone relation scores 1 no matter how nonlinear it is
 x = np.array([0.5, 1.0, 2.0, 3.5, 9.0])
 print("spearman(x, x**3) =", spearman(x, x**3))
 
-# worked example with one tie: correlation 8/sqrt(95)
+# worked example with one tie: the two 7s share rank 3.5, and the
+# correlation is 8/sqrt(95)
 y = np.array([5.0, 6.0, 7.0, 8.0, 7.0])
 print(f"spearman([1..5], {y.tolist()}) = {spearman(np.arange(1.0, 6.0), y):.6f}")
 print(f"8/sqrt(95)                     = {8 / np.sqrt(95):.6f}")
@@ -25,9 +24,9 @@ print(f"8/sqrt(95)                     = {8 / np.sqrt(95):.6f}")
 dead = np.zeros(5)
 print("spearman(dead unit, anything) =", spearman(dead, y))
 
-# activation table for a 1-2-1 network over 5 recorded examples:
-# columns = input, hidden0, hidden1 (dead), output
-table = np.column_stack([
+# activation table for a 1-2-1 network over 5 recorded examples, one row
+# per neuron: input, hidden0, hidden1 (dead), output
+table = np.stack([
     np.array([0.1, 0.4, 0.2, 0.9, 0.6]),      # input pixel
     np.array([0.2, 0.8, 0.4, 1.8, 1.2]),      # hidden0 tracks the input
     dead,                                      # hidden1 never fires

@@ -6,6 +6,7 @@ expected layout); prints instructions and exits if they are missing. Expect
 roughly 20 minutes per seed on a desktop CPU.
 """
 
+import logging
 import sys
 from pathlib import Path
 
@@ -31,7 +32,8 @@ if missing:
     print(f"  python demos/05_full_grid.py {DATA_DIR} {OUT_DIR}")
     sys.exit(0)
 
-result = run_grid(DATA_DIR, OUT_DIR, seeds=SEEDS, progress=print)
+logging.basicConfig(level=logging.INFO, format="%(message)s")  # progress on stderr
+result = run_grid(DATA_DIR, OUT_DIR, seeds=SEEDS)
 
 for method, table in result.tables.items():
     print(f"\n=== {method} ===")

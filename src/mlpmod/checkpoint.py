@@ -13,14 +13,15 @@ Layout (all integers little-endian):
         f64 * widths[t+1]             bias vector
 
 The parameters form one flat f64 buffer in the layout of ``mlp._param_views``.
-Loading rejects non-finite parameters. Round-trips are bit-exact. Writes are
-atomic: the bytes go to a temporary file beside the target, which then
-replaces it, so an interrupted write never leaves a truncated checkpoint at
-the target path.
+Loading rejects non-finite parameters. Round-trips are bit-exact. Writes go
+through :func:`write_atomic`, which every output file of the package shares,
+so an interrupted write never leaves a truncated checkpoint at the target
+path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from pathlib import Path
@@ -29,7 +30,14 @@ import numpy as np
 
 from .mlp import MlpArchitecture, MlpModel, _param_views
 
-__all__ = ["CheckpointError", "MAGIC", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "CheckpointError",
+    "MAGIC",
+    "FORMAT_VERSION",
+    "save_checkpoint",
+    "load_checkpoint",
+    "write_atomic",
+]
 
 MAGIC = b"MLPC"
 FORMAT_VERSION = 1
@@ -57,12 +65,20 @@ def save_checkpoint(model: MlpModel, path) -> None:
     params = np.concatenate(
         [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
     )
+    write_atomic(path, header + params.astype("<f8", copy=False).tobytes())
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` that then replaces
+    it, so an interrupted write never leaves a truncated file at ``path``.
+    The temporary is removed when anything fails."""
     tmp = Path(str(path) + ".tmp")
     try:
-        tmp.write_bytes(header + params.astype("<f8", copy=False).tobytes())
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the first failure is the one to report
+            tmp.unlink()
         raise
 
 

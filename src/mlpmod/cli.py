@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError, save_checkpoint
+from .checkpoint import CheckpointError, save_checkpoint, write_atomic
 from .data import DataError, load_dataset, load_splits
 from .harness import (
     ExperimentConfig,
@@ -93,10 +94,10 @@ def _cmd_train(args) -> int:
         dropout=args.dropout,
         train=_config(TrainConfig, epochs=args.epochs, rng_seed=args.seed),
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
     dataset = load_dataset(args.dataset, args.data_dir)
     model, accuracy = train(dataset, cfg.architecture, cfg.train)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / checkpoint_filename(cfg)
     save_checkpoint(model, ckpt)
     summary = {
@@ -108,8 +109,9 @@ def _cmd_train(args) -> int:
         "test_accuracy_percent": 100.0 * accuracy,
         "checkpoint": ckpt.name,
     }
-    (out_dir / (ckpt.stem + ".json")).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    write_atomic(
+        out_dir / (ckpt.stem + ".json"),
+        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode(),
     )
     print(f"wrote {ckpt}")
     print(f"test accuracy: {100.0 * accuracy:.2f}%")
@@ -142,12 +144,12 @@ def _cmd_grid(args) -> int:
         raise UsageError("--seeds must name at least one seed")
     if min(seeds) < 0:
         raise UsageError(f"bad --seeds value {args.seeds!r}: seeds must be non-negative")
+    logging.basicConfig(level=logging.INFO, format="%(message)s")  # progress on stderr
     result = run_grid(
         args.data_dir,
         args.out,
         seeds=seeds,
         train_cfg=_config(TrainConfig, epochs=args.epochs),
-        progress=lambda msg: print(msg, flush=True),
     )
     for method, table in result.tables.items():
         print(f"\n[{method}]")
@@ -169,7 +171,7 @@ def _cmd_report(args) -> int:
             rendered = render_method_table(reports, method)
             print(f"[{method}]")
             print(rendered)
-            (Path(args.in_dir) / f"table_{method}.txt").write_text(rendered)
+            write_atomic(Path(args.in_dir) / f"table_{method}.txt", rendered.encode())
     write_grid_csv(reports, Path(args.in_dir) / "grid.csv")
     print(f"wrote tables and grid.csv under {args.in_dir}")
     return EXIT_OK

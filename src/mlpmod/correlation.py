@@ -16,78 +16,45 @@ import numpy as np
 from .graph import adjacency_from_blocks, layer_starts
 
 __all__ = [
-    "rank_transform",
     "spearman",
-    "standardized_rank_columns",
+    "standardize_rank_rows",
     "build_correlation_adjacency",
 ]
-
-
-def rank_transform(values: np.ndarray) -> np.ndarray:
-    """Ascending 1-based ranks; tied values share the mean of their ranks.
-
-    The ranks of any length-m vector sum to m(m+1)/2 regardless of ties.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("rank_transform needs a 1-D vector of length >= 2")
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    # group boundaries between runs of equal values
-    is_start = np.empty(x.size, dtype=bool)
-    is_start[0] = True
-    np.not_equal(sorted_x[1:], sorted_x[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    ends = np.append(starts[1:], x.size)
-    mean_ranks = (starts + ends + 1) / 2.0  # ranks are 1-based
-    ranks = np.empty(x.size, dtype=np.float64)
-    ranks[order] = np.repeat(mean_ranks, ends - starts)
-    return ranks
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman correlation: Pearson correlation of the rank vectors.
 
-    The dot product of the two :func:`standardized_rank_columns`, so it is
+    The dot product of the two :func:`standardize_rank_rows` rows, so it is
     0.0 when either input is constant (rank variance zero).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    zx, zy = standardized_rank_columns(np.stack([x, y], axis=1)).T
-    return float(zx @ zy)
+    z = np.stack([x, y])
+    standardize_rank_rows(z)
+    return float(z[0] @ z[1])
 
 
-# columns per transposed copy: the row-major table is read 64 values
-# (512 bytes) at a time, and each column is ranked as a contiguous row
-_BLOCK_COLUMNS = 64
+def standardize_rank_rows(table: np.ndarray) -> None:
+    """Overwrite each row of the float64 ``table`` with its ranks, centered
+    and scaled to unit norm.
 
-
-def standardized_rank_columns(table: np.ndarray) -> np.ndarray:
-    """Rank each column, center it, scale to unit norm.
-
-    Constant columns become all-zero so that any dot product with them is 0:
+    Constant rows become all-zero so that any dot product with them is 0:
     a constant vector has no defined rank correlation.
 
-    Exact, with no pass over the table beyond the sort: every column's mean
-    rank is (m+1)/2, and its sum of squared centered ranks is
+    Exact, with no pass over a row beyond the sort: every row's mean rank
+    is (m+1)/2, and its sum of squared centered ranks is
     (m^3 - m - sum(t^3 - t))/12 over its tie groups of sizes t (Kendall &
     Gibbons, *Rank Correlation Methods*), computed in integers. Ranks are
     half-integers, so the result equals ranking, centering and normalizing
     in float64 bit for bit.
     """
-    t = np.asarray(table, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] < 2:
-        raise ValueError("standardized_rank_columns needs an (m >= 2, n) table")
-    out = np.empty(t.shape, dtype=np.float64)
-    for start in range(0, t.shape[1], _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
-        block = np.ascontiguousarray(t[:, cols].T)
-        for row in block:
-            _standardize_ranks(row)
-        out[:, cols] = block.T
-    return out
+    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] < 2:
+        raise ValueError("standardize_rank_rows needs a float64 (n, m >= 2) table")
+    for row in table:
+        _standardize_ranks(row)
 
 
 def _standardize_ranks(x: np.ndarray) -> None:
@@ -127,27 +94,32 @@ def _standardize_ranks(x: np.ndarray) -> None:
 def build_correlation_adjacency(table: np.ndarray, architecture) -> np.ndarray:
     """Adjacency matrix with |Spearman correlation| edge weights.
 
-    ``table`` is an (m, N) activation table whose columns follow the graph's
-    neuron numbering; ``architecture`` is an ``MlpArchitecture`` or a plain
+    ``table`` is an (N, m) activation table, as ``record_activations``
+    writes it: one row per neuron in the graph's numbering, one column per
+    recorded example. ``architecture`` is an ``MlpArchitecture`` or a plain
     sequence of layer widths. Every adjacent-layer neuron pair is an edge of
-    the underlying MLP, so each layer-pair block is computed as one matrix
-    product of standardized rank columns.
+    the underlying MLP, so each layer-pair block is one matrix product of
+    standardized rank rows.
+
+    The table is ranked in place: a C-contiguous float64 ``table`` is
+    overwritten with its standardized ranks. A table of another layout or
+    dtype is copied first and left as it was.
     """
     widths = tuple(getattr(architecture, "layer_widths", architecture))
     starts = layer_starts(widths)
-    t = np.asarray(table, dtype=np.float64)
-    if t.ndim != 2 or t.shape[1] != starts[-1]:
+    z = np.ascontiguousarray(table, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] != starts[-1]:
         raise ValueError(
-            f"activation table has shape {t.shape}; architecture implies "
-            f"{starts[-1]} neuron columns"
+            f"activation table has shape {z.shape}; architecture implies "
+            f"{starts[-1]} neuron rows"
         )
-    if t.shape[0] < 2:
+    if z.shape[1] < 2:
         raise ValueError("need at least two recorded examples")
-    z = standardized_rank_columns(t)
+    standardize_rank_rows(z)
     return adjacency_from_blocks(
         widths,
         (
-            np.abs(z[:, starts[i] : starts[i + 1]].T @ z[:, starts[i + 1] : starts[i + 2]])
+            np.abs(z[starts[i] : starts[i + 1]] @ z[starts[i + 1] : starts[i + 2]].T)
             for i in range(len(widths) - 1)
         ),
     )

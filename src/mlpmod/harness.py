@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
 from .correlation import build_correlation_adjacency
 from .data import DataError, LabeledImageSet, load_dataset
 from .graph import build_weight_adjacency
@@ -146,10 +146,7 @@ class ExperimentReport:
         return asdict(self)
 
     def write_json(self, path) -> None:
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        tmp = Path(str(path) + ".tmp")
-        tmp.write_text(payload)
-        os.replace(tmp, path)
+        write_atomic(path, _json_bytes(self.to_dict()))
 
     @classmethod
     def read_json(cls, path) -> "ExperimentReport":
@@ -189,6 +186,10 @@ _JSON_TYPES = {
 def _is_json_type(value, annotation: str) -> bool:
     allowed = tuple(t for name in annotation.split(" | ") for t in _JSON_TYPES[name])
     return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
+
+
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -231,7 +232,8 @@ def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | N
         if test_set is None:
             raise ValueError("the spearman method needs the test split")
         table = record_activations(model, test_set.images)
-        logits = table[:, -model.architecture.layer_widths[-1] :]
+        # copied out before the adjacency build ranks the table in place
+        logits = table[-model.architecture.n_classes :].T.copy()
         return build_correlation_adjacency(table, model.architecture), logits
     raise ValueError(f"unknown method {method!r}")
 
@@ -419,7 +421,6 @@ def run_grid(
     spectral: SpectralConfig | None = None,
     datasets=("mnist", "fashion_mnist"),
     layer_widths=DEFAULT_LAYER_WIDTHS,
-    progress=None,
 ) -> GridResult:
     """All dataset x activation x dropout cells, both methods, every seed.
 
@@ -454,8 +455,7 @@ def run_grid(
                             f"{'dropout' if dropout else 'nodropout'}/"
                             f"{method}/seed{seed}"
                         )
-                        if progress is not None:
-                            progress(f"running {label}")
+                        log.info("running %s", label)
                         try:
                             reports.append(
                                 run_experiment(cfg, data_dir, out_dir, cache)
@@ -472,14 +472,12 @@ def run_grid(
     for method in METHODS:
         rendered = render_method_table(reports, method)
         tables[method] = rendered
-        (out_dir / f"table_{method}.txt").write_text(rendered)
+        write_atomic(out_dir / f"table_{method}.txt", rendered.encode())
     write_grid_csv(reports, out_dir / "grid.csv")
     summary = ordering_summary(reports)
     summary["failures"] = failures
     summary["seeds"] = list(seeds)
-    (out_dir / "grid_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_atomic(out_dir / "grid_summary.json", _json_bytes(summary))
     return GridResult(reports=reports, failures=failures, tables=tables, summary=summary)
 
 
@@ -564,8 +562,9 @@ def grid_csv_rows(reports) -> list[list]:
 
 
 def write_grid_csv(reports, path) -> None:
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerows(grid_csv_rows(reports))
+    text = io.StringIO()
+    csv.writer(text).writerows(grid_csv_rows(reports))
+    write_atomic(path, text.getvalue().encode())
 
 
 def ordering_summary(reports) -> dict:

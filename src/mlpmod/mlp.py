@@ -229,20 +229,10 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     dropout_masks: list[np.ndarray] | None = None,
-    return_activations: bool = False,
-):
-    """Run the network on a batch; returns logits.
-
-    With ``return_activations=True`` also returns the per-layer activation
-    list ``[inputs, hidden_1, ..., hidden_H, logits]`` following the recording
-    convention (eval mode recommended for recording; train mode records the
-    pre-dropout hidden outputs).
-    """
+) -> np.ndarray:
+    """Run the network on a batch; returns logits."""
     x = _check_batch(model, inputs)
-    logits, post_acts, _, _ = _forward_cached(model, x, mode, rng, dropout_masks)
-    if return_activations:
-        return logits, [x] + post_acts + [logits]
-    return logits
+    return _forward_cached(model, x, mode, rng, dropout_masks)[0]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -423,15 +413,17 @@ def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def record_activations(
     model: MlpModel, images: np.ndarray, batch_size: int = 2048
 ) -> np.ndarray:
-    """Activation table over ``images``: one row per example, one column per
-    neuron (inputs, then hidden layers, then output logits)."""
+    """Activation table over ``images``, C-order ``(n_neurons, m)``: one row
+    per neuron (inputs, then hidden layers, then output logits), one column
+    per example, so each neuron's activation vector is contiguous."""
     x = _check_batch(model, images)
     widths = model.architecture.layer_widths
-    table = np.empty((x.shape[0], sum(widths)), dtype=np.float64)
-    bounds = np.concatenate([[0], np.cumsum(widths)])
+    table = np.empty((sum(widths), x.shape[0]), dtype=np.float64)
+    bounds = np.cumsum(widths)
+    table[: widths[0]] = x.T
     for start in range(0, x.shape[0], batch_size):
-        stop = min(start + batch_size, x.shape[0])
-        _, acts = forward(model, x[start:stop], return_activations=True)
-        for layer, act in enumerate(acts):
-            table[start:stop, bounds[layer] : bounds[layer + 1]] = act
+        examples = slice(start, start + batch_size)
+        logits, hidden, _, _ = _forward_cached(model, x[examples], "eval", None, None)
+        for layer, act in enumerate(hidden + [logits]):
+            table[bounds[layer] : bounds[layer + 1], examples] = act.T
     return table

@@ -133,6 +133,30 @@ def test_output_path_under_regular_file_is_data_error(tmp_path):
     assert "data error" in proc.stderr
 
 
+def test_train_output_under_regular_file_fails_before_training(tmp_path, monkeypatch, capsys):
+    def too_late(*args, **kwargs):
+        pytest.fail("train loaded data or trained before creating --out")
+
+    monkeypatch.setattr(cli, "load_dataset", too_late)
+    monkeypatch.setattr(cli, "train", too_late)
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code = cli.main([
+        "train", "--dataset", "mnist", "--activation", "relu",
+        "--data-dir", str(tmp_path), "--out", str(blocker / "out"),
+    ])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_grid_output_under_regular_file_is_data_error(tmp_path):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    proc = run_cli("grid", "--epochs", "1", "--data-dir", str(tmp_path), "--out", str(blocker / "grid"))
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr
+
+
 def test_analyze_weights_happy_path(smoke_data_dir, tmp_path):
     report = run_experiment(smoke_config("weights"), smoke_data_dir, tmp_path)
     ckpt = tmp_path / "checkpoints" / report.checkpoint

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpmod.correlation import (
-    build_correlation_adjacency,
-    rank_transform,
-    spearman,
-    standardized_rank_columns,
-)
+from mlpmod.correlation import build_correlation_adjacency, spearman, standardize_rank_rows
 from mlpmod.data import load_dataset
 from mlpmod.graph import build_weight_adjacency, layer_starts
 from mlpmod.mlp import MlpArchitecture, init_model, record_activations
@@ -50,22 +45,40 @@ def naive_spearman(x, y):
     return cov / math.sqrt(vx * vy)
 
 
-# oracle of standardized_rank_columns: rank every column with rank_transform,
-# then center and normalize in float64 over the whole table
+# oracle of standardize_rank_rows: rank every row with rank_transform, then
+# center and normalize in float64 over the whole table
 
-def rank_columns(table):
-    """Column-wise :func:`rank_transform` of an (m, n) table."""
-    t = np.asarray(table, dtype=np.float64)
-    out = np.empty_like(t)
-    for j in range(t.shape[1]):
-        out[:, j] = rank_transform(t[:, j])
-    return out
+def rank_transform(values):
+    """Ascending 1-based ranks; tied values share the mean of their ranks.
+
+    The ranks of any length-m vector sum to m(m+1)/2 regardless of ties.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("rank_transform needs a 1-D vector of length >= 2")
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    # group boundaries between runs of equal values
+    is_start = np.empty(x.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(sorted_x[1:], sorted_x[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    ends = np.append(starts[1:], x.size)
+    mean_ranks = (starts + ends + 1) / 2.0  # ranks are 1-based
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(mean_ranks, ends - starts)
+    return ranks
 
 
-def reference_standardized_rank_columns(table):
-    ranks = rank_columns(table)
-    ranks -= ranks.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(ranks, axis=0)
+def rank_rows(table):
+    """Row-wise :func:`rank_transform` of an (n, m) table."""
+    return np.array([rank_transform(row) for row in np.asarray(table, dtype=np.float64)])
+
+
+def reference_standardized_rank_rows(table):
+    ranks = rank_rows(table)
+    ranks -= ranks.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(ranks, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     ranks /= norms
     return ranks
@@ -97,12 +110,12 @@ def test_rank_requires_length_two():
         rank_transform([1.0])
 
 
-def test_rank_columns_matches_per_column():
+def test_rank_rows_matches_per_row():
     rng = np.random.default_rng(1)
-    table = rng.integers(0, 4, size=(15, 6)).astype(float)
-    ranked = rank_columns(table)
-    for j in range(6):
-        np.testing.assert_array_equal(ranked[:, j], rank_transform(table[:, j]))
+    table = rng.integers(0, 4, size=(6, 15)).astype(float)
+    ranked = rank_rows(table)
+    for i in range(6):
+        np.testing.assert_array_equal(ranked[i], naive_ranks(table[i].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +187,13 @@ def test_matches_naive_reference_many_pairs():
 # correlation adjacency
 
 def test_dead_unit_gives_zero_edges():
-    # columns: input, two hidden, output; hidden column 1 is a dead unit
+    # rows: input, two hidden, output; hidden row 1 is a dead unit
     table = np.array(
         [
-            [0.1, 0.5, 0.0, 1.0],
-            [0.2, 0.7, 0.0, 2.0],
-            [0.3, 0.2, 0.0, 3.0],
-            [0.4, 0.9, 0.0, 4.0],
+            [0.1, 0.2, 0.3, 0.4],
+            [0.5, 0.7, 0.2, 0.9],
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 2.0, 3.0, 4.0],
         ]
     )
     a = build_correlation_adjacency(table, (1, 2, 1))
@@ -192,7 +205,7 @@ def test_dead_unit_gives_zero_edges():
 def test_duplicate_columns_give_weight_one():
     rng = np.random.default_rng(5)
     col = rng.random(10)
-    table = np.column_stack([col, col, rng.random(10)])
+    table = np.stack([col, col, rng.random(10)])
     a = build_correlation_adjacency(table, (1, 1, 1))
     assert a[0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -200,14 +213,14 @@ def test_duplicate_columns_give_weight_one():
 def test_adjacency_matches_per_edge_oracle():
     rng = np.random.default_rng(6)
     widths = (2, 3, 2)
-    table = rng.integers(0, 6, size=(12, 7)).astype(float)
-    a = build_correlation_adjacency(table, widths)
+    table = rng.integers(0, 6, size=(7, 12)).astype(float)
+    a = build_correlation_adjacency(table.copy(), widths)
     assert_layered_adjacency(a, widths)
     starts = [0, 2, 5, 7]
     for layer in range(2):
         for i in range(starts[layer], starts[layer + 1]):
             for j in range(starts[layer + 1], starts[layer + 2]):
-                want = abs(naive_spearman(table[:, i], table[:, j]))
+                want = abs(naive_spearman(table[i], table[j]))
                 assert a[i, j] == pytest.approx(want, abs=1e-12)
                 assert a[j, i] == a[i, j]
 
@@ -225,30 +238,42 @@ def test_same_sparsity_pattern_as_weight_adjacency():
 
 
 def test_table_size_must_match_architecture():
-    with pytest.raises(ValueError, match="neuron columns"):
+    with pytest.raises(ValueError, match="neuron rows"):
         build_correlation_adjacency(np.zeros((5, 6)), (1, 2, 1))
     with pytest.raises(ValueError, match="two recorded"):
-        build_correlation_adjacency(np.zeros((1, 4)), (1, 2, 1))
+        build_correlation_adjacency(np.zeros((4, 1)), (1, 2, 1))
 
 
-def test_standardized_columns_unit_norm_or_zero():
+def test_adjacency_ranks_a_float64_table_in_place():
+    rng = np.random.default_rng(12)
+    table = rng.standard_normal((7, 9))
+    fortran = np.asfortranarray(table)
+    from_copy = build_correlation_adjacency(fortran, (2, 3, 2))
+    assert np.array_equal(fortran, table)  # another layout is copied, not ranked
+    in_place = build_correlation_adjacency(table, (2, 3, 2))
+    assert table.tobytes() == reference_standardized_rank_rows(fortran).tobytes()
+    assert in_place.tobytes() == from_copy.tobytes()
+
+
+def test_standardized_rows_unit_norm_or_zero():
     rng = np.random.default_rng(8)
-    table = rng.integers(0, 3, size=(20, 5)).astype(float)
-    table[:, 2] = 7.0  # constant
-    z = standardized_rank_columns(table)
-    norms = np.linalg.norm(z, axis=0)
+    table = rng.integers(0, 3, size=(5, 20)).astype(float)
+    table[2] = 7.0  # constant
+    standardize_rank_rows(table)
+    norms = np.linalg.norm(table, axis=1)
     assert norms[2] == 0.0
-    for j in (0, 1, 3, 4):
-        assert norms[j] == pytest.approx(1.0, abs=1e-12)
+    for i in (0, 1, 3, 4):
+        assert norms[i] == pytest.approx(1.0, abs=1e-12)
 
 
 def _ranking_tables():
+    """(examples, neurons) tables; the tests rank their neuron-major
+    transposes."""
     rng = np.random.default_rng(10)
     constant = rng.integers(-2, 3, size=(30, 6)).astype(float)
     constant[:, 1] = 0.0
     constant[:, 4] = 7.5
     return {
-        # 130 columns: two full blocks of 64 and a partial one
         "continuous": rng.standard_normal((300, 130)),
         "integer ties": rng.integers(0, 4, size=(500, 70)).astype(float),
         "relu zeros": np.maximum(rng.standard_normal((400, 66)), 0.0),
@@ -260,11 +285,11 @@ def _ranking_tables():
 
 @pytest.mark.parametrize("kind", list(_ranking_tables()))
 def test_standardized_ranks_equal_oracle_bit_for_bit(kind):
-    table = _ranking_tables()[kind]
-    got = standardized_rank_columns(table)
-    want = reference_standardized_rank_columns(table)
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()  # same signs of zero, too
+    table = np.ascontiguousarray(_ranking_tables()[kind].T)
+    want = reference_standardized_rank_rows(table)
+    standardize_rank_rows(table)
+    assert np.array_equal(table, want)
+    assert table.tobytes() == want.tobytes()  # same signs of zero, too
 
 
 def test_standardized_ranks_equal_oracle_on_small_random_tables():
@@ -272,26 +297,28 @@ def test_standardized_ranks_equal_oracle_on_small_random_tables():
     for _ in range(200):
         m, n = int(rng.integers(2, 30)), int(rng.integers(1, 5))
         scale = rng.choice([1.0, -0.0, 0.0, 0.5], size=(m, n))
-        table = rng.integers(-3, 4, size=(m, n)) * scale
-        assert np.array_equal(
-            standardized_rank_columns(table), reference_standardized_rank_columns(table)
-        )
+        table = np.ascontiguousarray((rng.integers(-3, 4, size=(m, n)) * scale).T)
+        want = reference_standardized_rank_rows(table)
+        standardize_rank_rows(table)
+        assert np.array_equal(table, want)
 
 
-def test_standardized_ranks_need_two_rows():
+def test_standardized_ranks_reject_bad_tables():
     with pytest.raises(ValueError, match="m >= 2"):
-        standardized_rank_columns(np.zeros((1, 3)))
+        standardize_rank_rows(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="float64"):
+        standardize_rank_rows(np.zeros((3, 4), dtype=np.int64))
 
 
 def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
     model = init_model(MlpArchitecture(layer_widths=SMOKE_WIDTHS), 0)
     table = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
-    assert np.any(table[:, 784:] == 0.0)  # relu zeros tie in the hidden columns
-    z = reference_standardized_rank_columns(table)
+    assert np.any(table[784:] == 0.0)  # relu zeros tie in the hidden rows
+    z = reference_standardized_rank_rows(table)
     starts = layer_starts(SMOKE_WIDTHS)
     want = np.zeros((starts[-1], starts[-1]))
     for a, b, c in zip(starts, starts[1:], starts[2:]):
-        want[a:b, b:c] = np.abs(z[:, a:b].T @ z[:, b:c])
+        want[a:b, b:c] = np.abs(z[a:b] @ z[b:c].T)
         want[b:c, a:b] = want[a:b, b:c].T
     got = build_correlation_adjacency(table, SMOKE_WIDTHS)
     assert got.tobytes() == want.tobytes()
@@ -300,6 +327,6 @@ def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
 def test_accepts_architecture_object():
     rng = np.random.default_rng(9)
     arch = MlpArchitecture(layer_widths=(2, 3, 2))
-    table = rng.standard_normal((8, 7))
+    table = rng.standard_normal((7, 8))
     a = build_correlation_adjacency(table, arch)
     assert a.shape == (7, 7)

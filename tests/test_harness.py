@@ -107,6 +107,14 @@ def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, mon
     assert _strip_wall_times(rerun.to_dict()) == _strip_wall_times(fresh.to_dict())
 
 
+def test_report_write_onto_a_directory_leaves_no_temporary(tmp_path):
+    target = tmp_path / "target.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        _fake_report("weights", "mnist", "relu", False, 0, 1.0).write_json(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["target.json"]
+
+
 def _rerun_matches_clean_run(cfg, smoke_data_dir, tmp_path, caplog):
     """Rerun ``cfg`` over the planted checkpoint under ``tmp_path/run``; it
     must log the file, retrain, and end like a run that never saw it."""
@@ -229,18 +237,21 @@ def test_run_grid_on_synthetic(smoke_data_dir, tmp_path):
     assert len(loaded) == 16
 
 
-def test_grid_continues_after_cell_failures(tmp_path):
-    result = run_grid(
-        tmp_path / "missing-data",
-        tmp_path / "out",
-        seeds=(0,),
-        train_cfg=TrainConfig(epochs=1),
-        datasets=("smoke",),
-        layer_widths=SMOKE_WIDTHS,
-    )
+def test_grid_continues_after_cell_failures(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="mlpmod.harness"):
+        result = run_grid(
+            tmp_path / "missing-data",
+            tmp_path / "out",
+            seeds=(0,),
+            train_cfg=TrainConfig(epochs=1),
+            datasets=("smoke",),
+            layer_widths=SMOKE_WIDTHS,
+        )
     assert result.reports == []
     assert len(result.failures) == 8
     assert all(f["stage"] == "load-data" for f in result.failures)
+    # each cell logs its start, failed or not
+    assert caplog.messages == [f"running {f['cell']}" for f in result.failures]
 
 
 def _fake_report(method, dataset, activation, dropout, seed, ncut_value, acc=90.0):

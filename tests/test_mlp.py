@@ -154,13 +154,11 @@ def test_activation_ranges():
     rng = np.random.default_rng(3)
     x = rng.random((20, 5))
     relu_model = make_model((5, 8, 8, 4), activation="relu", seed=4)
-    _, acts = forward(relu_model, x, return_activations=True)
-    for hidden in acts[1:-1]:
-        assert np.all(hidden >= 0.0)
+    hidden = record_activations(relu_model, x)[5:21]
+    assert np.all(hidden >= 0.0)
     sig_model = make_model((5, 8, 8, 4), activation="sigmoid", seed=4)
-    _, acts = forward(sig_model, x, return_activations=True)
-    for hidden in acts[1:-1]:
-        assert np.all((hidden > 0.0) & (hidden < 1.0))
+    hidden = record_activations(sig_model, x)[5:21]
+    assert np.all((hidden > 0.0) & (hidden < 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def test_recorded_logits_give_evaluate_accuracy():
     model = init_model(MlpArchitecture(layer_widths=(20, 16, 16, 4)), 0)
     x = rng.random((4500, 20))
     labels = rng.integers(0, 4, size=4500)
-    logits = record_activations(model, x)[:, -4:]
+    logits = record_activations(model, x)[-4:].T
     np.testing.assert_array_equal(logits, forward(model, x))
     assert logit_accuracy(logits, labels) == evaluate_accuracy(model, x, labels)
 
@@ -406,22 +404,23 @@ def test_recorded_inputs_are_verbatim():
     rng = np.random.default_rng(13)
     x = rng.random((9, 5))
     table = record_activations(model, x)
-    assert table.shape == (9, 12)
-    np.testing.assert_array_equal(table[:, :5], x)
+    assert table.shape == (12, 9)
+    assert table.flags.c_contiguous
+    np.testing.assert_array_equal(table[:5], x.T)
 
 
 def test_recorded_hidden_nonnegative_for_relu():
     model = make_model((5, 6, 3), activation="relu", seed=14)
     x = np.random.default_rng(15).random((11, 5))
     table = record_activations(model, x)
-    assert np.all(table[:, 5:11] >= 0.0)
+    assert np.all(table[5:11] >= 0.0)
 
 
 def test_recorded_outputs_are_logits():
     model = make_model((5, 6, 3), activation="sigmoid", seed=16)
     x = np.random.default_rng(17).random((4, 5))
     table = record_activations(model, x)
-    np.testing.assert_array_equal(table[:, -3:], forward(model, x))
+    np.testing.assert_array_equal(table[-3:], forward(model, x).T)
 
 
 def test_constant_input_column_records_constant():
@@ -429,7 +428,7 @@ def test_constant_input_column_records_constant():
     x = np.random.default_rng(19).random((8, 5))
     x[:, 2] = 0.0  # a dead pixel
     table = record_activations(model, x)
-    np.testing.assert_array_equal(table[:, 2], np.zeros(8))
+    np.testing.assert_array_equal(table[2], np.zeros(8))
 
 
 def test_eval_forward_is_pure():
