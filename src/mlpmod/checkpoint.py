@@ -12,7 +12,7 @@ Layout (all integers little-endian):
         f64 * widths[t+1]*widths[t]   weight matrix, row-major
         f64 * widths[t+1]             bias vector
 
-The parameters form one flat f64 buffer in the layout of ``mlp._param_views``.
+The parameters are a model's ``params`` buffer, written as is.
 Loading rejects non-finite parameters. Round-trips are bit-exact. Writes go
 through :func:`write_atomic`, which every output file of the package shares,
 so an interrupted write never leaves a truncated checkpoint at the target
@@ -62,10 +62,7 @@ def save_checkpoint(model: MlpModel, path) -> None:
         _ACTIVATION_TAGS[arch.activation],
         arch.dropout_rate,
     )
-    params = np.concatenate(
-        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
-    )
-    write_atomic(path, header + params.astype("<f8", copy=False).tobytes())
+    write_atomic(path, header + model.params.astype("<f8", copy=False).tobytes())
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -125,7 +122,7 @@ def load_checkpoint(path) -> MlpModel:
         )
     if len(data) > expected:
         raise CheckpointError(f"{path}: {len(data) - expected} unexpected trailing bytes")
-    flat = np.frombuffer(data, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
+    flat = np.frombuffer(data, dtype="<f8", count=n_params, offset=offset)
     weights, biases = _param_views(arch.layer_widths, flat)
     if not np.isfinite(flat).all():
         bad = [

@@ -122,12 +122,12 @@ def _cmd_analyze(args) -> int:
     if args.method == "spearman" and args.data_dir is None:
         raise UsageError("--method spearman requires --data-dir with the test split")
     spectral = _config(SpectralConfig, k=args.k, rng_seed=args.seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before analysis
     test_set = None
     if args.data_dir is not None:
         test_set = load_splits(args.data_dir, ["test"])["test"]
     report = analyze_checkpoint(args.checkpoint, args.method, spectral, test_set)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"analysis_{Path(args.checkpoint).stem}_{args.method}.json"
     report.write_json(out_path)
     print(f"wrote {out_path}")

@@ -256,6 +256,11 @@ def _analyze_model(
     the spearman graph build recorded, so that method runs the test set
     through the model once.
     """
+    needed = 2 if method == "spearman" else 1
+    if test_set is not None and len(test_set) < needed:
+        raise DataError(
+            f"the test split has {len(test_set)} example(s); {method} needs at least {needed}"
+        )
     with _stage("adjacency", wall_times):
         adjacency, logits = _build_adjacency(method, model, test_set)
     if accuracy is None and test_set is not None:

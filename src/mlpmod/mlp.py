@@ -6,6 +6,8 @@ Conventions used throughout:
 * weight matrix ``t`` has shape ``(widths[t+1], widths[t])`` and maps layer
   ``t`` onto layer ``t+1``; a batch ``x`` of shape ``(batch, widths[0])``
   propagates as ``x @ w.T + b``;
+* a model's weights and biases are views into one float64 buffer
+  ``params`` in checkpoint order (W0, b0, W1, b1, ...);
 * dropout is inverted (mask then scale by ``1/(1-p)``) and applies to hidden
   layers only, so evaluation uses the trained weights unchanged;
 * recorded activations are: input neurons = the raw (normalized) inputs,
@@ -74,11 +76,28 @@ class MlpArchitecture:
         return self.layer_widths[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpModel:
+    """An architecture and its parameters. The given weights and biases are
+    copied into one float64 buffer ``params`` laid out as in a checkpoint,
+    and ``weights``/``biases`` become views into it."""
+
     architecture: MlpArchitecture
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        given = [np.ravel(a) for pair in zip(self.weights, self.biases) for a in pair]
+        params = np.concatenate(given, dtype=np.float64)
+        weights, biases = _param_views(self.architecture.layer_widths, params)
+        if [np.shape(a) for a in [*self.weights, *self.biases]] != [
+            a.shape for a in weights + biases
+        ]:
+            raise ValueError("parameter shapes do not match the layer widths")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def n_neurons(self) -> int:
@@ -164,7 +183,7 @@ def _apply_activation_grad(da: np.ndarray, post: np.ndarray, kind: str) -> None:
 def sample_dropout_masks(
     arch: MlpArchitecture, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Boolean keep-masks for every hidden layer, as the forward pass draws them."""
+    """Boolean keep-masks for every hidden layer, the ones training applies."""
     p = arch.dropout_rate
     return [
         rng.random((batch_size, w)) >= p for w in arch.layer_widths[1:-1]
@@ -184,20 +203,11 @@ def _check_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(
-    model: MlpModel,
-    x: np.ndarray,
-    mode: str,
-    rng: np.random.Generator | None,
-    dropout_masks: list[np.ndarray] | None,
+    model: MlpModel, x: np.ndarray, dropout_masks: list[np.ndarray] | None
 ):
-    """Shared forward pass; returns logits plus everything backprop needs."""
+    """Shared forward pass; returns logits plus everything backprop needs.
+    Dropout applies with ``dropout_masks`` and not without."""
     arch = model.architecture
-    p = arch.dropout_rate
-    training = mode == "train"
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if training and p > 0 and rng is None and dropout_masks is None:
-        raise ValueError("train mode with dropout needs an rng or explicit masks")
     post_acts: list[np.ndarray] = []   # per hidden layer, pre-dropout
     dropped: list[np.ndarray] = []     # per hidden layer, post-dropout (next layer input)
     scales: list[np.ndarray] = []      # per hidden layer, keep-mask / (1 - p)
@@ -208,11 +218,8 @@ def _forward_cached(
         z += model.biases[t]
         h = _activate(z, arch.activation)
         post_acts.append(h)
-        if training and p > 0:
-            keep = dropout_masks[t] if dropout_masks is not None else (
-                rng.random(h.shape) >= p
-            )
-            scale = keep / (1.0 - p)
+        if dropout_masks is not None:
+            scale = dropout_masks[t] / (1.0 - arch.dropout_rate)
             scales.append(scale)
             a = h * scale
         else:
@@ -223,16 +230,9 @@ def _forward_cached(
     return logits, post_acts, dropped, scales
 
 
-def forward(
-    model: MlpModel,
-    inputs: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Run the network on a batch; returns logits."""
-    x = _check_batch(model, inputs)
-    return _forward_cached(model, x, mode, rng, dropout_masks)[0]
+def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
+    """Run the network on a batch as evaluated, without dropout; returns logits."""
+    return _forward_cached(model, _check_batch(model, inputs), None)[0]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -254,17 +254,23 @@ def loss_and_gradients(
     inputs: np.ndarray,
     labels: np.ndarray,
     mode: str = "eval",
-    rng: np.random.Generator | None = None,
     dropout_masks: list[np.ndarray] | None = None,
-    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean softmax cross-entropy and exact gradients for all parameters.
 
-    In train mode the gradients are exact for the dropout masks actually
-    sampled (or supplied), which is what makes pinned-mask finite-difference
-    checks possible. ``out`` may name ``(weight_grads, bias_grads)`` arrays
-    to fill in place; those lists are then the ones returned.
+    Train mode applies dropout with the given ``dropout_masks`` (see
+    :func:`sample_dropout_masks`), and the gradients are exact for them,
+    which is what makes pinned-mask finite-difference checks possible. The
+    gradients fill ``out``, a buffer shaped like ``model.params`` (allocated
+    when None), and are returned as its weight and bias views.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval" or model.architecture.dropout_rate == 0:
+        dropout_masks = None
+    elif dropout_masks is None:
+        raise ValueError("train mode with dropout needs dropout masks")
     x = _check_batch(model, inputs)
     y = np.asarray(labels)
     n_classes = model.architecture.n_classes
@@ -272,12 +278,12 @@ def loss_and_gradients(
         raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-    logits, post_acts, dropped, scales = _forward_cached(model, x, mode, rng, dropout_masks)
+    logits, post_acts, dropped, scales = _forward_cached(model, x, dropout_masks)
     loss, delta = softmax_cross_entropy(logits, y)
-    if out is None:
-        out = ([np.empty_like(w) for w in model.weights],
-               [np.empty_like(b) for b in model.biases])
-    grads_w, grads_b = out
+    grads_w, grads_b = _param_views(
+        model.architecture.layer_widths,
+        np.empty_like(model.params) if out is None else out,
+    )
     layer_inputs = [x] + dropped  # input to each connection
     for t in range(len(model.weights) - 1, -1, -1):
         np.matmul(delta.T, layer_inputs[t], out=grads_w[t])
@@ -292,26 +298,23 @@ def loss_and_gradients(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, the shared step counter and one
-    scratch array per parameter, so that a step allocates nothing."""
+    """First/second moment accumulators, the step counter and a scratch
+    array, each shaped like the parameter array, so that a step allocates
+    nothing."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray = field(repr=False)
     t: int = 0
-    scratch: list[np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            scratch=[np.empty_like(p) for p in params],
-        )
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params), np.empty_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     learning_rate: float = 1e-3,
     beta1: float = 0.9,
@@ -324,30 +327,28 @@ def adam_step(
     bias corrections fold into the step size ``alpha_t`` and the epsilon
     ``eps_hat``, so the update is ``p -= alpha_t * m / (sqrt(v) + eps_hat)``.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must have matching lengths")
-    if state.scratch is None:
-        state.scratch = [np.empty_like(m) for m in state.m]
+    if not params.shape == grads.shape == state.m.shape:
+        raise ValueError(
+            f"params {params.shape}, grads {grads.shape} and state {state.m.shape} shapes differ"
+        )
     state.t += 1
     t = state.t
     root_correction2 = np.sqrt(1 - beta2**t)
     alpha_t = learning_rate * root_correction2 / (1 - beta1**t)
     eps_hat = eps * root_correction2
-    for p, g, m, v, s in zip(params, grads, state.m, state.v, state.scratch):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= beta1
-        np.multiply(g, 1 - beta1, out=s)
-        m += s
-        v *= beta2
-        np.multiply(g, 1 - beta2, out=s)
-        s *= g
-        v += s
-        np.sqrt(v, out=s)
-        s += eps_hat
-        np.divide(m, s, out=s)
-        s *= alpha_t
-        p -= s
+    g, m, v, s = grads, state.m, state.v, state.scratch
+    m *= beta1
+    np.multiply(g, 1 - beta1, out=s)
+    m += s
+    v *= beta2
+    np.multiply(g, 1 - beta2, out=s)
+    s *= g
+    v += s
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= alpha_t
+    params -= s
 
 
 def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, float]:
@@ -359,31 +360,27 @@ def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, f
     """
     rng = np.random.default_rng(cfg.rng_seed)
     model = init_model(arch, rng)
-    # all parameters in one buffer in checkpoint order, the model's arrays
-    # being views into it, and a gradient buffer of the same layout
-    params = np.concatenate(
-        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
-    )
-    model.weights, model.biases = _param_views(arch.layer_widths, params)
-    grads = np.empty_like(params)
-    grad_views = _param_views(arch.layer_widths, grads)
-    state = AdamState.for_params([params])
+    grads = np.empty_like(model.params)
+    state = AdamState.for_params(model.params)
     x, y = dataset.train.images, dataset.train.labels
     n = x.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start : start + cfg.batch_size]
+            masks = (
+                sample_dropout_masks(arch, sel.size, rng) if arch.dropout_rate > 0 else None
+            )
             loss, _, _ = loss_and_gradients(
-                model, x[sel], y[sel], mode="train", rng=rng, out=grad_views
+                model, x[sel], y[sel], mode="train", dropout_masks=masks, out=grads
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch}, step {step}"
                 )
             adam_step(
-                [params],
-                [grads],
+                model.params,
+                grads,
                 state,
                 learning_rate=cfg.learning_rate,
                 beta1=cfg.beta1,
@@ -423,7 +420,7 @@ def record_activations(
     table[: widths[0]] = x.T
     for start in range(0, x.shape[0], batch_size):
         examples = slice(start, start + batch_size)
-        logits, hidden, _, _ = _forward_cached(model, x[examples], "eval", None, None)
+        logits, hidden, _, _ = _forward_cached(model, x[examples], None)
         for layer, act in enumerate(hidden + [logits]):
             table[bounds[layer] : bounds[layer + 1], examples] = act.T
     return table

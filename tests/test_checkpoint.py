@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from mlpmod.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from mlpmod.mlp import MlpArchitecture, init_model
+from mlpmod.mlp import MlpArchitecture, MlpModel, init_model
 
 
 @pytest.fixture
@@ -34,6 +35,30 @@ def test_round_trip_is_bit_exact(model, tmp_path):
     # and the bytes themselves survive a second round
     save_checkpoint(loaded, tmp_path / "again.mlpc")
     assert (tmp_path / "again.mlpc").read_bytes() == path.read_bytes()
+
+
+def test_model_from_separate_arrays_owns_one_buffer(tmp_path):
+    # built the way the benchmark builds its planted model
+    rng = np.random.default_rng(1)
+    widths = (6, 5, 4)
+    weights = [rng.standard_normal((o, i)) for i, o in zip(widths[:-1], widths[1:])]
+    biases = [rng.standard_normal(o) for o in widths[1:]]
+    model = MlpModel(
+        architecture=MlpArchitecture(layer_widths=widths), weights=weights, biases=biases
+    )
+    for given, view in zip(weights + biases, model.weights + model.biases):
+        np.testing.assert_array_equal(view, given)
+        assert view.base is model.params
+    path = tmp_path / "model.mlpc"
+    save_checkpoint(model, path)
+    header = MAGIC + struct.pack("<II3IId", FORMAT_VERSION, 3, *widths, 0, 0.0)
+    body = b"".join(a.astype("<f8").tobytes() for pair in zip(weights, biases) for a in pair)
+    assert path.read_bytes() == header + body
+    # in-place edits reach the buffer; rebinding the views away from it cannot
+    model.weights[1][0, 0] = 7.0
+    assert model.params[6 * 5 + 5] == 7.0  # W1 follows W0 (5x6) and b0 (5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.weights = []
 
 
 def test_header_layout(model, tmp_path):

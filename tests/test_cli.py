@@ -7,7 +7,7 @@ import pytest
 
 from mlpmod import cli
 from mlpmod.checkpoint import save_checkpoint
-from mlpmod.data import SPLIT_FILES
+from mlpmod.data import SPLIT_FILES, write_idx_images, write_idx_labels
 from mlpmod.harness import ExperimentReport, run_experiment
 from mlpmod.mlp import MlpArchitecture, init_model
 
@@ -147,6 +147,45 @@ def test_train_output_under_regular_file_fails_before_training(tmp_path, monkeyp
     ])
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_analyze_output_under_regular_file_fails_before_analysis(
+    smoke_data_dir, tmp_path, monkeypatch, capsys
+):
+    def too_late(*args, **kwargs):
+        pytest.fail("analyze loaded data or analysed before creating --out")
+
+    monkeypatch.setattr(cli, "load_splits", too_late)
+    monkeypatch.setattr(cli, "analyze_checkpoint", too_late)
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code = cli.main([
+        "analyze", "--checkpoint", str(ckpt), "--method", "spearman",
+        "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(blocker / "analysis"),
+    ])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_test, method", [(0, "weights"), (0, "spearman"), (1, "spearman")])
+def test_analyze_too_few_test_examples_is_data_error(tmp_path, capsys, n_test, method):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    images_name, labels_name = SPLIT_FILES["test"]
+    rng = np.random.default_rng(0)
+    write_idx_images(data_dir / images_name, rng.integers(0, 256, (n_test, 784)))
+    write_idx_labels(data_dir / labels_name, rng.integers(0, 10, n_test))
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    code = cli.main([
+        "analyze", "--checkpoint", str(ckpt), "--method", method,
+        "--data-dir", str(data_dir), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "data error" in err and f"has {n_test} example" in err
 
 
 def test_grid_output_under_regular_file_is_data_error(tmp_path):

@@ -254,6 +254,56 @@ def test_grid_continues_after_cell_failures(tmp_path, caplog):
     assert caplog.messages == [f"running {f['cell']}" for f in result.failures]
 
 
+class _Killed(BaseException):
+    """Stands in for a kill: not an ``Exception``, so the grid does not catch it."""
+
+
+def test_grid_killed_between_checkpoint_and_report_reruns_as_clean(
+    smoke_data_dir, tmp_path, monkeypatch
+):
+    grid = dict(
+        seeds=(0,),
+        train_cfg=TrainConfig(epochs=1),
+        spectral=SpectralConfig(k=4, rng_seed=0),
+        datasets=("smoke",),
+        layer_widths=SMOKE_WIDTHS,
+    )
+    real_write_json = ExperimentReport.write_json
+    writes = []
+
+    def killed_at_third_report(self, path):
+        writes.append(path)
+        if len(writes) == 3:  # relu with dropout: its checkpoint is freshly written
+            raise _Killed
+        real_write_json(self, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExperimentReport, "write_json", killed_at_third_report)
+        with pytest.raises(_Killed):
+            run_grid(smoke_data_dir, tmp_path / "run", **grid)
+    killed_ckpt = tmp_path / "run" / "checkpoints" / checkpoint_filename(
+        smoke_config("weights", dropout=True)
+    )
+    assert killed_ckpt.is_file() and not writes[2].exists()
+
+    rerun = run_grid(smoke_data_dir, tmp_path / "run", **grid)
+    clean = run_grid(smoke_data_dir, tmp_path / "clean", **grid)
+    assert rerun.failures == [] and len(rerun.reports) == 8
+    assert [_strip_wall_times(r.to_dict()) for r in rerun.reports] == [
+        _strip_wall_times(r.to_dict()) for r in clean.reports
+    ]
+    for name in ("reports", "checkpoints"):
+        run_files = sorted((tmp_path / "run" / name).iterdir())
+        clean_files = sorted((tmp_path / "clean" / name).iterdir())
+        assert [f.name for f in run_files] == [f.name for f in clean_files]
+        for a, b in zip(run_files, clean_files):
+            if name == "reports":
+                a, b = (_strip_wall_times(json.loads(f.read_text())) for f in (a, b))
+                assert a == b
+            else:
+                assert a.read_bytes() == b.read_bytes()
+
+
 def _fake_report(method, dataset, activation, dropout, seed, ncut_value, acc=90.0):
     return ExperimentReport(
         dataset=dataset,

@@ -7,6 +7,7 @@ from mlpmod.mlp import (
     _activate,
     AdamState,
     MlpArchitecture,
+    MlpModel,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
@@ -121,13 +122,14 @@ def test_forward_dropout_is_identity_at_eval():
     np.testing.assert_array_equal(forward(base, x), forward(dropped, x))
 
 
-def test_forward_train_mode_requires_rng_with_dropout():
+def test_train_mode_with_dropout_requires_masks():
     model = make_model((4, 6, 3), dropout=0.5)
     x = np.zeros((2, 4))
-    with pytest.raises(ValueError, match="rng or explicit masks"):
-        forward(model, x, mode="train")
+    y = np.array([0, 2])
+    with pytest.raises(ValueError, match="needs dropout masks"):
+        loss_and_gradients(model, x, y, mode="train")
     # fine without dropout
-    forward(make_model((4, 6, 3)), x, mode="train")
+    loss_and_gradients(make_model((4, 6, 3)), x, y, mode="train")
 
 
 def test_forward_rejects_bad_batches():
@@ -231,13 +233,13 @@ def test_gradients_fill_supplied_buffers():
     loss, grads_w, grads_b = loss_and_gradients(
         model, x, y, mode="train", dropout_masks=masks
     )
-    out = ([np.full_like(w, np.nan) for w in model.weights],
-           [np.full_like(b, np.nan) for b in model.biases])
+    out = np.full_like(model.params, np.nan)
     loss_out, out_w, out_b = loss_and_gradients(
         model, x, y, mode="train", dropout_masks=masks, out=out
     )
     assert loss_out == loss
-    assert out_w is out[0] and out_b is out[1]
+    assert all(np.shares_memory(a, out) for a in out_w + out_b)
+    assert np.isfinite(out).all()  # every element written
     for a, b in zip(grads_w + grads_b, out_w + out_b):
         np.testing.assert_array_equal(a, b)
 
@@ -246,33 +248,32 @@ def test_gradients_fill_supplied_buffers():
 # adam
 
 def test_adam_zero_gradient_leaves_parameters():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    params = np.array([1.0, -2.0, 3.0])
     state = AdamState.for_params(params)
     for _ in range(50):
-        adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
-    np.testing.assert_array_equal(params[0], [1.0, -2.0])
-    np.testing.assert_array_equal(params[1], [[3.0]])
+        adam_step(params, np.zeros(3), state)
+    np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_magnitude():
     lr = 1e-3
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = AdamState.for_params(params)
-    adam_step(params, [np.array([1.0])], state, learning_rate=lr)
+    adam_step(params, np.array([1.0]), state, learning_rate=lr)
     # bias correction makes the first update -lr * 1/(1 + eps) ~ -lr
-    assert params[0][0] == pytest.approx(-lr, rel=1e-6)
+    assert params[0] == pytest.approx(-lr, rel=1e-6)
 
 
 def test_adam_descends_quadratic():
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = AdamState.for_params(params)
     values = []
     for _ in range(100):
-        x = params[0][0]
+        x = params[0]
         values.append(x * x)
-        adam_step(params, [np.array([2.0 * x])], state, learning_rate=0.05)
+        adam_step(params, np.array([2.0 * x]), state, learning_rate=0.05)
     assert values[-1] < values[0]
-    assert params[0][0] ** 2 < 0.1
+    assert params[0] ** 2 < 0.1
 
 
 def test_adam_matches_textbook_reference_over_flat_buffer():
@@ -282,14 +283,14 @@ def test_adam_matches_textbook_reference_over_flat_buffer():
     flat = np.concatenate([p.ravel() for p in ref_params])
     ref_m = [np.zeros(s) for s in shapes]
     ref_v = [np.zeros(s) for s in shapes]
-    state = AdamState.for_params([flat])
+    state = AdamState.for_params(flat)
     bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
     for step in range(1, 301):
         # gradients spanning several magnitudes, some exactly zero
         grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
         grads[1][0] = 0.0
         reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr=1e-2)
-        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state,
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state,
                   learning_rate=1e-2)
     assert state.t == 300
     for i, p in enumerate(ref_params):
@@ -299,10 +300,11 @@ def test_adam_matches_textbook_reference_over_flat_buffer():
 
 
 def test_adam_shape_mismatch():
-    params = [np.zeros(3)]
-    state = AdamState.for_params(params)
+    params = np.zeros(3)
     with pytest.raises(ValueError, match="shape"):
-        adam_step(params, [np.zeros(4)], state)
+        adam_step(params, np.zeros(4), AdamState.for_params(params))
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(params, np.zeros(3), AdamState.for_params(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +466,16 @@ def test_architecture_validation():
     arch = MlpArchitecture(layer_widths=(784, 256, 256, 256, 256, 10))
     assert arch.n_neurons == 1818
     assert arch.n_classes == 10
+
+
+def test_model_rejects_parameters_of_other_shapes():
+    model = make_model((4, 6, 3))
+    with pytest.raises(ValueError, match="shapes"):
+        MlpModel(
+            architecture=model.architecture,
+            weights=[w.T for w in model.weights],
+            biases=model.biases,
+        )
 
 
 def test_train_config_validation():
