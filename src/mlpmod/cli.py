@@ -24,7 +24,7 @@ from .harness import (
     run_grid,
     write_grid_csv,
 )
-from .mlp import TrainConfig, train
+from .mlp import TrainConfig, evaluate_accuracy, train
 from .spectral import SpectralConfig
 
 EXIT_OK = 0
@@ -97,7 +97,8 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
     dataset = load_dataset(args.dataset, args.data_dir)
-    model, accuracy = train(dataset, cfg.architecture, cfg.train)
+    model = train(dataset.train, cfg.architecture, cfg.train)
+    accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
     ckpt = out_dir / checkpoint_filename(cfg)
     save_checkpoint(model, ckpt)
     summary = {

@@ -229,8 +229,6 @@ def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | N
     if method == "weights":
         return build_weight_adjacency(model.weights, model.architecture.layer_widths), None
     if method == "spearman":
-        if test_set is None:
-            raise ValueError("the spearman method needs the test split")
         table = record_activations(model, test_set.images)
         # copied out before the adjacency build ranks the table in place
         logits = table[-model.architecture.n_classes :].T.copy()
@@ -244,26 +242,37 @@ def _analyze_model(
     test_set: LabeledImageSet | None,
     spectral: SpectralConfig,
     wall_times: dict,
-    accuracy: float | None = None,
     **provenance,
 ) -> ExperimentReport:
     """Build ``model``'s graph under ``method``, cluster it and assemble the
     report; ``provenance`` supplies the fields the model does not determine
     (dataset, seed, checkpoint name, training config).
 
-    ``accuracy`` is the test accuracy as a fraction when the caller knows
-    it. Otherwise it is measured on ``test_set``, if given, from the logits
-    the spearman graph build recorded, so that method runs the test set
-    through the model once.
+    This is where the test split comes in, and it is checked here once: the
+    spearman method needs one (``ValueError``); a given split needs at least
+    1 example, 2 under spearman, and images as wide as the model's input
+    layer (``DataError``). Test accuracy is measured whenever ``test_set``
+    is given, from the logits the spearman graph build recorded, so each
+    method runs the test set through the model once.
     """
     needed = 2 if method == "spearman" else 1
-    if test_set is not None and len(test_set) < needed:
+    n_inputs = model.architecture.layer_widths[0]
+    if test_set is None:
+        if method == "spearman":
+            raise ValueError("the spearman method requires the test split")
+    elif len(test_set) < needed:
         raise DataError(
             f"the test split has {len(test_set)} example(s); {method} needs at least {needed}"
         )
+    elif test_set.images.shape[1] != n_inputs:
+        raise DataError(
+            f"test images have {test_set.images.shape[1]} pixels but the "
+            f"model's input layer has {n_inputs} neurons"
+        )
     with _stage("adjacency", wall_times):
         adjacency, logits = _build_adjacency(method, model, test_set)
-    if accuracy is None and test_set is not None:
+    accuracy = None
+    if test_set is not None:
         with _stage("accuracy", wall_times):
             if logits is None:
                 accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
@@ -273,9 +282,6 @@ def _analyze_model(
         result = cluster_graph(adjacency, spectral)
     arch = model.architecture
     sizes = result.cluster_sizes().tolist()
-    dropped = int(result.dropped.size)
-    if sum(sizes) != model.n_neurons - dropped:
-        raise RuntimeError("cluster sizes do not cover the kept nodes")
     kept = result.labels >= 0
     layer_of = np.repeat(np.arange(len(arch.layer_widths)), arch.layer_widths)
     layer_counts = np.zeros((len(arch.layer_widths), result.n_clusters), dtype=np.int64)
@@ -290,10 +296,10 @@ def _analyze_model(
         ncut=float(result.ncut_value),
         cluster_sizes=sizes,
         layer_cluster_counts=layer_counts.tolist(),
-        dropped_nodes=dropped,
+        dropped_nodes=int(result.dropped.size),
         kmeans_cost=float(result.kmeans_cost),
         off_protocol_k=spectral.k != 4,  # the paper clusters into 4
-        spectral_config=asdict(spectral),
+        spectral_config=spectral.to_dict(),
         wall_times=wall_times,
         **provenance,
     )
@@ -349,9 +355,8 @@ def run_experiment(
     ckpt_path = out_dir / "checkpoints" / checkpoint_filename(cfg)
     with _stage("train-or-load", wall_times):
         model = _load_cached(ckpt_path, cfg.architecture)
-        accuracy = None  # a cached model's is measured by _analyze_model
         if model is None:
-            model, accuracy = train(dataset, cfg.architecture, cfg.train)
+            model = train(dataset.train, cfg.architecture, cfg.train)
             save_checkpoint(model, ckpt_path)
 
     report = _analyze_model(
@@ -360,7 +365,6 @@ def run_experiment(
         dataset.test,
         cfg.spectral,
         wall_times,
-        accuracy=accuracy,
         dataset=cfg.dataset,
         seed=cfg.train.rng_seed,
         checkpoint=ckpt_path.name,
@@ -383,20 +387,9 @@ def analyze_checkpoint(
     whenever a test set is supplied, whose image width must match the
     model's input layer (``DataError`` otherwise).
     """
-    if method == "spearman" and test_set is None:
-        raise ValueError(
-            "analyze with method 'spearman' requires the test split "
-            "(pass test_set / --data-dir)"
-        )
     wall_times: dict = {}
     with _stage("load-checkpoint", wall_times):
         model = load_checkpoint(checkpoint_path)
-    n_inputs = model.architecture.layer_widths[0]
-    if test_set is not None and test_set.images.shape[1] != n_inputs:
-        raise DataError(
-            f"test images have {test_set.images.shape[1]} pixels but the "
-            f"checkpoint's input layer has {n_inputs} neurons"
-        )
     return _analyze_model(
         model,
         method,

@@ -351,10 +351,9 @@ def adam_step(
     params -= s
 
 
-def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, float]:
-    """Train on ``dataset.train``, report accuracy on ``dataset.test``.
+def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
+    """Train a model of ``arch`` on ``train_set`` (images and labels).
 
-    Returns ``(model, test_accuracy)`` with accuracy as a fraction in [0, 1].
     Fully deterministic for a fixed ``cfg.rng_seed``. Raises
     :class:`TrainingDivergedError` if the loss ever becomes non-finite.
     """
@@ -362,7 +361,7 @@ def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, f
     model = init_model(arch, rng)
     grads = np.empty_like(model.params)
     state = AdamState.for_params(model.params)
-    x, y = dataset.train.images, dataset.train.labels
+    x, y = train_set.images, train_set.labels
     n = x.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
@@ -387,8 +386,7 @@ def train(dataset, arch: MlpArchitecture, cfg: TrainConfig) -> tuple[MlpModel, f
                 beta2=cfg.beta2,
                 eps=cfg.eps,
             )
-    accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
-    return model, accuracy
+    return model
 
 
 def evaluate_accuracy(

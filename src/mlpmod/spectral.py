@@ -4,7 +4,7 @@ eigendecomposition, row-normalized embedding, seeded k-means with restarts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,24 +31,30 @@ class EigensolverError(RuntimeError):
         self.residuals = residuals
 
 
+# fixed settings of every clustering run
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITERS = 300
+KMEANS_TOL = 1e-8
+EIG_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
     k: int = 4
-    kmeans_restarts: int = 10
-    kmeans_max_iters: int = 300
-    kmeans_tol: float = 1e-8
-    eig_tol: float = 1e-9
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be at least 1")
-        if self.kmeans_tol <= 0 or self.eig_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+
+    def to_dict(self) -> dict:
+        """These fields plus the fixed k-means and eigensolver settings."""
+        return dict(
+            asdict(self), kmeans_restarts=KMEANS_RESTARTS, kmeans_max_iters=KMEANS_MAX_ITERS,
+            kmeans_tol=KMEANS_TOL, eig_tol=EIG_TOL,
+        )
 
 
 @dataclass(frozen=True)
@@ -74,14 +80,11 @@ class ClusteringResult:
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
-    Every node must have positive degree; drop zero-degree nodes before
-    calling (see :func:`cluster_graph`).
+    ``adjacency`` must be square, symmetric, finite and nonnegative, as
+    :func:`cluster_graph` checks, and every node must have positive degree;
+    drop zero-degree nodes before calling.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-        raise ValueError("adjacency is not symmetric")
     deg = a.sum(axis=1)
     if np.any(deg <= 0):
         bad = np.flatnonzero(deg <= 0)
@@ -94,24 +97,22 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 
 def smallest_eigenvectors(
-    laplacian: np.ndarray, n_vectors: int, eig_tol: float = 1e-9
+    laplacian: np.ndarray, n_vectors: int, eig_tol: float = EIG_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs for the ``n_vectors`` algebraically smallest eigenvalues.
 
+    ``laplacian`` must be square and symmetric; ``eigh`` reads only its
+    lower triangle.
     Returns ``(eigenvalues, eigenvectors)`` with orthonormal columns. Every
-    returned pair is residual-checked: ``||L v - lam v|| <= eig_tol * max(1,
-    ||L||_F)``; a violation raises :class:`EigensolverError` carrying the
+    returned pair is residual-checked against the full matrix: ``||L v - lam
+    v|| <= eig_tol * max(1, ||L||_F)``; a violation, a NaN pair or an
+    asymmetric ``laplacian`` raises :class:`EigensolverError` carrying the
     residual norms.
     """
     lap = np.asarray(laplacian, dtype=np.float64)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {lap.shape}")
     n = lap.shape[0]
     if not 1 <= n_vectors <= n:
         raise ValueError(f"need 1 <= n_vectors <= {n}, got {n_vectors}")
-    asym = float(np.max(np.abs(lap - lap.T))) if n else 0.0
-    if asym > 1e-9:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     try:
         values, vectors = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as e:
@@ -120,14 +121,14 @@ def smallest_eigenvectors(
     vectors = vectors[:, :n_vectors]
     scale = max(1.0, float(np.linalg.norm(lap)))
     residuals = np.linalg.norm(lap @ vectors - vectors * values, axis=0)
-    if np.any(residuals > eig_tol * scale):
+    if not np.all(residuals <= eig_tol * scale):
         raise EigensolverError(
             f"eigenpair residuals exceed {eig_tol:g} * max(1, ||L||_F): "
             f"max {residuals.max():.3e}",
             residuals=residuals,
         )
     gram = vectors.T @ vectors
-    if np.max(np.abs(gram - np.eye(n_vectors))) > 1e-8:
+    if not (np.max(np.abs(gram - np.eye(n_vectors))) <= 1e-8):
         raise EigensolverError("eigenvector columns are not orthonormal")
     return values, vectors
 
@@ -163,13 +164,10 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def kmeans_single(
-    points: np.ndarray,
-    n_clusters: int,
-    rng: np.random.Generator,
-    max_iters: int = 300,
-    tol: float = 1e-8,
+    points: np.ndarray, n_clusters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One k-means run (k-means++ seeding, Lloyd iterations).
+    """One k-means run (k-means++ seeding, at most ``KMEANS_MAX_ITERS`` Lloyd
+    iterations, stopping once no center moves more than ``KMEANS_TOL``).
 
     Returns ``(labels, centers, cost)`` with all clusters nonempty. An empty
     cluster is repaired by reseeding it with the point farthest from its
@@ -183,7 +181,7 @@ def kmeans_single(
     prev_cost = np.inf
     labels = np.zeros(n, dtype=np.int64)
     cost = 0.0
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(sq, axis=1)
         point_cost = sq[np.arange(n), labels]
@@ -200,7 +198,7 @@ def kmeans_single(
             [pts[labels == c].mean(axis=0) for c in range(n_clusters)]
         )
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
-        if shift <= tol:
+        if shift <= KMEANS_TOL:
             break
         centers = new_centers
         prev_cost = cost
@@ -208,25 +206,18 @@ def kmeans_single(
 
 
 def kmeans(
-    points: np.ndarray,
-    n_clusters: int,
-    restarts: int = 10,
-    max_iters: int = 300,
-    tol: float = 1e-8,
-    rng: np.random.Generator | int | None = 0,
+    points: np.ndarray, n_clusters: int, rng: np.random.Generator | int | None = 0
 ) -> tuple[np.ndarray, float]:
-    """Best-of-``restarts`` k-means; deterministic for a fixed seed.
+    """Best of ``KMEANS_RESTARTS`` k-means runs; deterministic for a fixed seed.
 
     The restart with the lowest within-cluster sum of squared distances wins;
     cost ties go to the earliest restart.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     best_labels, best_cost = None, np.inf
-    for _ in range(restarts):
-        labels, _, cost = kmeans_single(points, n_clusters, rng, max_iters, tol)
+    for _ in range(KMEANS_RESTARTS):
+        labels, _, cost = kmeans_single(points, n_clusters, rng)
         if cost < best_cost:
             best_labels, best_cost = labels, cost
     return best_labels, float(best_cost)
@@ -235,12 +226,26 @@ def kmeans(
 def cluster_graph(adjacency: np.ndarray, config: SpectralConfig) -> ClusteringResult:
     """Cluster a graph into ``config.k`` groups and score the partition.
 
-    Zero-degree nodes are removed up front and reported via ``dropped``; the
-    remaining subgraph goes through Laplacian -> smallest eigenvectors ->
-    row normalization -> k-means, and the resulting partition is scored with
-    the exact normalized cut.
+    ``adjacency`` must be a square matrix of finite, nonnegative entries,
+    symmetric to within 1e-12; anything else raises ``ValueError`` naming
+    the fault. Zero-degree nodes are removed up front and reported via
+    ``dropped``; the remaining subgraph goes through Laplacian -> smallest
+    eigenvectors -> row normalization -> k-means, and the resulting
+    partition is scored with the exact normalized cut.
     """
     a = np.asarray(adjacency, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {a.shape}")
+    # each test is written so that a NaN fails it
+    if not np.isfinite(a.max(initial=0.0)):
+        raise ValueError("adjacency has non-finite entries (NaN or inf)")
+    if not (a.min(initial=0.0) >= 0.0):
+        raise ValueError("adjacency has negative entries")
+    diff = a - a.T
+    asym = np.abs(diff, out=diff).max(initial=0.0)
+    del diff
+    if not (asym <= 1e-12):
+        raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
     deg = a.sum(axis=1)
     dropped = np.flatnonzero(deg == 0)
     kept = np.flatnonzero(deg > 0)
@@ -250,17 +255,9 @@ def cluster_graph(adjacency: np.ndarray, config: SpectralConfig) -> ClusteringRe
         )
     sub = a[np.ix_(kept, kept)]
     lap = normalized_laplacian(sub)
-    _, vectors = smallest_eigenvectors(lap, config.k, config.eig_tol)
+    _, vectors = smallest_eigenvectors(lap, config.k)
     embedding, _ = row_normalize(vectors)
-    rng = np.random.default_rng(config.rng_seed)
-    sub_labels, cost = kmeans(
-        embedding,
-        config.k,
-        restarts=config.kmeans_restarts,
-        max_iters=config.kmeans_max_iters,
-        tol=config.kmeans_tol,
-        rng=rng,
-    )
+    sub_labels, cost = kmeans(embedding, config.k, rng=config.rng_seed)
     score = ncut(sub, sub_labels, config.k)
     labels = np.full(a.shape[0], -1, dtype=np.int64)
     labels[kept] = sub_labels

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_value_error_inside_training_is_numerical_failure(tmp_path, monkeypatch,
     def fail(*args, **kwargs):
         raise ValueError("bad value deep in training")
 
-    monkeypatch.setattr(cli, "load_dataset", lambda name, data_dir: None)
+    monkeypatch.setattr(cli, "load_dataset", lambda name, data_dir: SimpleNamespace(train=None))
     monkeypatch.setattr(cli, "train", fail)
     code = cli.main([
         "train", "--dataset", "mnist", "--activation", "relu",

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mlpmod import harness
-from mlpmod.data import DataError, load_dataset
+from mlpmod.data import DataError, load_dataset, make_synthetic_dataset
 from mlpmod.harness import (
+    METHODS,
     ExperimentConfig,
     ExperimentReport,
     StageError,
@@ -41,6 +42,11 @@ def test_smoke_experiment_end_to_end(smoke_data_dir, tmp_path):
     assert sum(report.cluster_sizes) + report.dropped_nodes == sum(SMOKE_WIDTHS)
     assert len(report.cluster_sizes) == 4
     assert min(report.cluster_sizes) >= 1
+    # the fixed k-means and eigensolver settings are recorded with the config
+    assert report.spectral_config == {
+        "k": 4, "rng_seed": 0, "kmeans_restarts": 10, "kmeans_max_iters": 300,
+        "kmeans_tol": 1e-8, "eig_tol": 1e-9,
+    }
     json_path = tmp_path / "reports" / report_filename(smoke_config("weights"))
     assert json_path.is_file()
     round_trip = ExperimentReport.read_json(json_path)
@@ -173,6 +179,27 @@ def test_missing_data_surfaces_stage_and_cause(tmp_path):
         run_experiment(smoke_config("weights"), tmp_path / "nowhere", tmp_path)
     assert err.value.stage == "load-data"
     assert isinstance(err.value.__cause__, DataError)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_empty_test_split_is_data_error(tmp_path, method):
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=0, seed=0)
+    with pytest.raises(DataError, match="has 0 example"):
+        run_experiment(smoke_config(method), tmp_path, tmp_path / "out")
+
+
+def test_grid_records_empty_test_split_as_cell_failure(tmp_path):
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=0, seed=0)
+    result = run_grid(
+        tmp_path,
+        tmp_path / "out",
+        train_cfg=TrainConfig(epochs=1),
+        datasets=("smoke",),
+        layer_widths=SMOKE_WIDTHS,
+    )
+    assert result.reports == []
+    assert len(result.failures) == 8
+    assert all("has 0 example" in f["error"] for f in result.failures)
 
 
 def test_analyze_checkpoint_round_trip(smoke_data_dir, tmp_path):

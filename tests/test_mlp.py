@@ -327,8 +327,8 @@ def test_train_separable_toy_reaches_99_percent():
     dataset = separable_dataset()
     arch = MlpArchitecture(layer_widths=(4, 8, 2), activation="relu")
     cfg = TrainConfig(epochs=5, batch_size=32, rng_seed=0, learning_rate=0.01)
-    model, accuracy = train(dataset, arch, cfg)
-    assert accuracy >= 0.99
+    model = train(dataset.train, arch, cfg)
+    assert evaluate_accuracy(model, dataset.test.images, dataset.test.labels) >= 0.99
     for w in model.weights:
         assert np.all(np.isfinite(w))
 
@@ -337,26 +337,18 @@ def test_train_deterministic_same_seed():
     dataset = separable_dataset(n=120, seed=1)
     arch = MlpArchitecture(layer_widths=(4, 6, 2), activation="sigmoid", dropout_rate=0.5)
     cfg = TrainConfig(epochs=2, batch_size=16, rng_seed=42)
-    model_a, acc_a = train(dataset, arch, cfg)
-    model_b, acc_b = train(dataset, arch, cfg)
-    assert acc_a == acc_b
+    model_a = train(dataset.train, arch, cfg)
+    model_b = train(dataset.train, arch, cfg)
     for w_a, w_b in zip(model_a.weights, model_b.weights):
         np.testing.assert_array_equal(w_a, w_b)
     for b_a, b_b in zip(model_a.biases, model_b.biases):
         np.testing.assert_array_equal(b_a, b_b)
 
 
-def test_train_accuracy_is_evaluate_accuracy_of_returned_model():
-    dataset = separable_dataset(n=200, seed=3)
-    arch = MlpArchitecture(layer_widths=(4, 6, 6, 2), activation="sigmoid", dropout_rate=0.5)
-    model, accuracy = train(dataset, arch, TrainConfig(epochs=2, batch_size=16, rng_seed=5))
-    assert accuracy == evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
-
-
 def test_trained_model_views_round_trip_bit_exact(tmp_path):
     dataset = separable_dataset(n=120, seed=4)
     arch = MlpArchitecture(layer_widths=(4, 5, 3, 2), activation="relu")
-    model, _ = train(dataset, arch, TrainConfig(epochs=2, batch_size=16, rng_seed=6))
+    model = train(dataset.train, arch, TrainConfig(epochs=2, batch_size=16, rng_seed=6))
     params = model.weights + model.biases
     # one shared parameter buffer behind every weight and bias
     buffer = params[0].base
@@ -376,7 +368,7 @@ def test_train_divergence_detected():
     arch = MlpArchitecture(layer_widths=(4, 8, 8, 2), activation="relu")
     cfg = TrainConfig(epochs=3, batch_size=16, rng_seed=0, learning_rate=1e200)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
-        train(dataset, arch, cfg)
+        train(dataset.train, arch, cfg)
 
 
 def test_evaluate_accuracy_counts_argmax_hits():

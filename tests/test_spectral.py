@@ -3,6 +3,8 @@ import pytest
 
 from mlpmod.graph import ncut
 from mlpmod.spectral import (
+    EIG_TOL,
+    KMEANS_RESTARTS,
     EigensolverError,
     SpectralConfig,
     cluster_graph,
@@ -131,9 +133,19 @@ def test_eigenvectors_residual_bound_random():
 
 
 def test_eigenvectors_rejects_nonsymmetric():
+    # eigh reads one triangle; the residual against the full matrix catches it
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(EigensolverError, match="residuals"):
         smallest_eigenvectors(m, 1)
+
+
+def test_eigenvectors_of_nan_matrix_raise():
+    # at this size eigh returns NaN pairs instead of failing to converge
+    a, _ = planted_graph(np.random.default_rng(2), [20, 20])
+    lap = normalized_laplacian(a)
+    lap[0, 1] = lap[1, 0] = np.nan
+    with pytest.raises(EigensolverError):
+        smallest_eigenvectors(lap, 2)
 
 
 def test_eigenvectors_k_out_of_range():
@@ -261,14 +273,12 @@ def test_cluster_graph_matches_best_restart_and_reruns_identically():
         # replay the restart stream and score each restart's partition
         from mlpmod.spectral import normalized_laplacian, smallest_eigenvectors
         lap = normalized_laplacian(a)
-        _, vectors = smallest_eigenvectors(lap, k, cfg.eig_tol)
+        _, vectors = smallest_eigenvectors(lap, k, EIG_TOL)
         embedding, _ = row_normalize(vectors)
         replay_rng = np.random.default_rng(cfg.rng_seed)
         restart_ncuts = []
-        for _ in range(cfg.kmeans_restarts):
-            labels_r, _, _ = kmeans_single(
-                embedding, k, replay_rng, cfg.kmeans_max_iters, cfg.kmeans_tol
-            )
+        for _ in range(KMEANS_RESTARTS):
+            labels_r, _, _ = kmeans_single(embedding, k, replay_rng)
             restart_ncuts.append(ncut(a, labels_r, k))
         assert result.ncut_value <= 1.05 * min(restart_ncuts) + 1e-12
 
@@ -302,10 +312,31 @@ def test_cluster_graph_too_few_live_nodes():
         cluster_graph(a, SpectralConfig(k=4, rng_seed=0))
 
 
+def _with_entry(i, j, value, mirror=True):
+    a = triangle_union(2)
+    a[i, j] = value
+    if mirror:
+        a[j, i] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "adjacency, fault",
+    [
+        pytest.param(_with_entry(3, 5, np.nan), "non-finite", id="nan"),
+        pytest.param(_with_entry(0, 4, np.inf), "non-finite", id="inf"),
+        pytest.param(_with_entry(0, 1, -1.0), "negative", id="negative"),
+        pytest.param(_with_entry(0, 4, 1e-9, mirror=False), "not symmetric", id="asymmetric"),
+        pytest.param(np.ones((3, 4)), "square", id="non-square"),
+    ],
+)
+def test_cluster_graph_rejects_invalid_adjacency(adjacency, fault):
+    with pytest.raises(ValueError, match=fault):
+        cluster_graph(adjacency, SpectralConfig(k=2, rng_seed=0))
+
+
 def test_spectral_config_validation():
     with pytest.raises(ValueError):
         SpectralConfig(k=1)
     with pytest.raises(ValueError):
-        SpectralConfig(kmeans_restarts=0)
-    with pytest.raises(ValueError):
-        SpectralConfig(eig_tol=0.0)
+        SpectralConfig(rng_seed=-1)
