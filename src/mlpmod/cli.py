@@ -13,18 +13,18 @@ import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError, save_checkpoint, write_atomic
-from .data import DataError, load_dataset, load_splits
+from .data import KNOWN_DATASETS, DataError, load_dataset, load_splits
 from .harness import (
+    METHODS,
     ExperimentConfig,
     StageError,
     analyze_checkpoint,
     checkpoint_filename,
     load_reports,
-    render_method_table,
     run_grid,
-    write_grid_csv,
+    write_tables,
 )
-from .mlp import TrainConfig, evaluate_accuracy, train
+from .mlp import ACTIVATIONS, TrainConfig, evaluate_accuracy, train
 from .spectral import SpectralConfig
 
 EXIT_OK = 0
@@ -48,8 +48,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one MLP and write a checkpoint")
-    p_train.add_argument("--dataset", required=True, choices=["mnist", "fashion_mnist"])
-    p_train.add_argument("--activation", required=True, choices=["relu", "sigmoid"])
+    p_train.add_argument("--dataset", required=True, choices=list(KNOWN_DATASETS))
+    p_train.add_argument("--activation", required=True, choices=ACTIVATIONS)
     p_train.add_argument("--dropout", action="store_true")
     p_train.add_argument("--epochs", type=int, default=20)
     p_train.add_argument("--seed", type=int, default=0)
@@ -58,7 +58,7 @@ def _build_parser() -> _Parser:
 
     p_an = sub.add_parser("analyze", help="cluster a stored checkpoint")
     p_an.add_argument("--checkpoint", required=True)
-    p_an.add_argument("--method", required=True, choices=["weights", "spearman"])
+    p_an.add_argument("--method", required=True, choices=METHODS)
     p_an.add_argument("--data-dir", default=None,
                       help="directory holding the t10k-* IDX files (spearman/accuracy)")
     p_an.add_argument("--k", type=int, default=4)
@@ -145,6 +145,9 @@ def _cmd_grid(args) -> int:
         raise UsageError("--seeds must name at least one seed")
     if min(seeds) < 0:
         raise UsageError(f"bad --seeds value {args.seeds!r}: seeds must be non-negative")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise UsageError(f"bad --seeds value {args.seeds!r}: seed {repeated[0]} is repeated")
     logging.basicConfig(level=logging.INFO, format="%(message)s")  # progress on stderr
     result = run_grid(
         args.data_dir,
@@ -167,13 +170,9 @@ def _cmd_report(args) -> int:
     reports = load_reports(args.in_dir)
     if not reports:
         raise DataError(f"no report_*.json files under {args.in_dir}")
-    for method in ("weights", "spearman"):
-        if any(r.method == method for r in reports):
-            rendered = render_method_table(reports, method)
-            print(f"[{method}]")
-            print(rendered)
-            write_atomic(Path(args.in_dir) / f"table_{method}.txt", rendered.encode())
-    write_grid_csv(reports, Path(args.in_dir) / "grid.csv")
+    for method, table in write_tables(reports, args.in_dir).items():
+        print(f"[{method}]")
+        print(table)
     print(f"wrote tables and grid.csv under {args.in_dir}")
     return EXIT_OK
 

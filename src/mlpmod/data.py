@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +92,10 @@ def _read_bytes(path) -> bytes:
     except FileNotFoundError as e:
         raise DataError(f"no such file: {path}") from e
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as e:
+            raise DataError(f"{path}: corrupt gzip file: {e}") from e
     return raw
 
 

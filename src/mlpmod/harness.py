@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import logging
 import time
@@ -25,6 +26,7 @@ from .correlation import build_correlation_adjacency
 from .data import DataError, LabeledImageSet, load_dataset
 from .graph import build_weight_adjacency
 from .mlp import (
+    ACTIVATIONS,
     DEFAULT_LAYER_WIDTHS,
     MlpArchitecture,
     MlpModel,
@@ -51,7 +53,7 @@ __all__ = [
     "run_grid",
     "render_method_table",
     "grid_csv_rows",
-    "write_grid_csv",
+    "write_tables",
     "ordering_summary",
     "load_reports",
 ]
@@ -195,45 +197,51 @@ def _json_bytes(obj) -> bytes:
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """Hash of everything that determines the trained model."""
     payload = json.dumps(
-        {
-            "dataset": cfg.dataset,
-            "layer_widths": list(cfg.layer_widths),
-            "activation": cfg.activation,
-            "dropout_rate": DROPOUT_RATE if cfg.dropout else 0.0,
-            "train": asdict(cfg.train),
-        },
+        {"dataset": cfg.dataset, **asdict(cfg.architecture), "train": asdict(cfg.train)},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _cell_parts(cfg: ExperimentConfig) -> tuple[str, str, str]:
+    """The grid cell of ``cfg`` as (dataset, activation, dropout) name parts."""
+    return cfg.dataset, cfg.activation, "dropout" if cfg.dropout else "nodropout"
+
+
 def checkpoint_filename(cfg: ExperimentConfig) -> str:
-    drop = "dropout" if cfg.dropout else "nodropout"
     return (
-        f"{cfg.dataset}_{cfg.activation}_{drop}_seed{cfg.train.rng_seed}"
+        f"{'_'.join(_cell_parts(cfg))}_seed{cfg.train.rng_seed}"
         f"_{config_fingerprint(cfg)}.mlpc"
     )
 
 
 def report_filename(cfg: ExperimentConfig) -> str:
-    drop = "dropout" if cfg.dropout else "nodropout"
-    return (
-        f"report_{cfg.dataset}_{cfg.activation}_{drop}_{cfg.method}"
-        f"_seed{cfg.train.rng_seed}.json"
-    )
+    return f"report_{'_'.join(_cell_parts(cfg))}_{cfg.method}_seed{cfg.train.rng_seed}.json"
 
 
-def _build_adjacency(method: str, model: MlpModel, test_set: LabeledImageSet | None):
-    """``model``'s graph under ``method``, with the test-set logits when the
-    build ran the test set through the model (spearman), else None."""
-    if method == "weights":
-        return build_weight_adjacency(model.weights, model.architecture.layer_widths), None
-    if method == "spearman":
-        table = record_activations(model, test_set.images)
-        # copied out before the adjacency build ranks the table in place
-        logits = table[-model.architecture.n_classes :].T.copy()
-        return build_correlation_adjacency(table, model.architecture), logits
-    raise ValueError(f"unknown method {method!r}")
+def _check_test_split(method: str, test_set: LabeledImageSet | None, n_inputs: int) -> None:
+    """Raise unless ``test_set`` can be analysed under ``method`` by a model
+    with ``n_inputs`` input neurons.
+
+    The method must be known and the spearman method needs a split
+    (``ValueError``); a given split needs at least 1 example, 2 under
+    spearman, and images ``n_inputs`` pixels wide (``DataError``).
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    needed = 2 if method == "spearman" else 1
+    if test_set is None:
+        if method == "spearman":
+            raise ValueError("the spearman method requires the test split")
+    elif len(test_set) < needed:
+        raise DataError(
+            f"the test split has {len(test_set)} example(s); {method} needs at least {needed}"
+        )
+    elif test_set.images.shape[1] != n_inputs:
+        raise DataError(
+            f"test images have {test_set.images.shape[1]} pixels but the "
+            f"model's input layer has {n_inputs} neurons"
+        )
 
 
 def _analyze_model(
@@ -248,39 +256,27 @@ def _analyze_model(
     report; ``provenance`` supplies the fields the model does not determine
     (dataset, seed, checkpoint name, training config).
 
-    This is where the test split comes in, and it is checked here once: the
-    spearman method needs one (``ValueError``); a given split needs at least
-    1 example, 2 under spearman, and images as wide as the model's input
-    layer (``DataError``). Test accuracy is measured whenever ``test_set``
-    is given, from the logits the spearman graph build recorded, so each
-    method runs the test set through the model once.
+    The caller has passed ``method`` and ``test_set`` through
+    ``_check_test_split``. Test accuracy is measured whenever ``test_set``
+    is given; under spearman it comes from the logits of the activation
+    table, so each method runs the test set through the model once.
     """
-    needed = 2 if method == "spearman" else 1
-    n_inputs = model.architecture.layer_widths[0]
-    if test_set is None:
-        if method == "spearman":
-            raise ValueError("the spearman method requires the test split")
-    elif len(test_set) < needed:
-        raise DataError(
-            f"the test split has {len(test_set)} example(s); {method} needs at least {needed}"
-        )
-    elif test_set.images.shape[1] != n_inputs:
-        raise DataError(
-            f"test images have {test_set.images.shape[1]} pixels but the "
-            f"model's input layer has {n_inputs} neurons"
-        )
-    with _stage("adjacency", wall_times):
-        adjacency, logits = _build_adjacency(method, model, test_set)
+    arch = model.architecture
     accuracy = None
-    if test_set is not None:
+    with _stage("adjacency", wall_times):
+        if method == "weights":
+            adjacency = build_weight_adjacency(model.weights, arch.layer_widths)
+        else:
+            table = record_activations(model, test_set.images)
+            # read before the adjacency build ranks the table in place
+            accuracy = logit_accuracy(table[-arch.n_classes :].T, test_set.labels)
+            adjacency = build_correlation_adjacency(table, arch)
+            del table  # n_neurons x m floats, dead once ranked: free before clustering
+    if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
-            if logits is None:
-                accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
-            else:
-                accuracy = logit_accuracy(logits, test_set.labels)
+            accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
     with _stage("cluster", wall_times):
         result = cluster_graph(adjacency, spectral)
-    arch = model.architecture
     sizes = result.cluster_sizes().tolist()
     kept = result.labels >= 0
     layer_of = np.repeat(np.arange(len(arch.layer_widths)), arch.layer_widths)
@@ -333,9 +329,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment end to end and persist its artifacts.
 
-    Trains the model unless a checkpoint for the same config fingerprint
-    already exists under ``out_dir/checkpoints``; a corrupt or mismatched
-    cached checkpoint is retrained and overwritten. Writes the report JSON to
+    Both splits are checked before any training: an empty training split or
+    a test split ``_check_test_split`` rejects raises ``DataError``. Trains
+    the model unless a checkpoint for the same config fingerprint already
+    exists under ``out_dir/checkpoints``; a corrupt or mismatched cached
+    checkpoint is retrained and overwritten. Writes the report JSON to
     ``out_dir/reports``. Deterministic for fixed seeds.
     """
     out_dir = Path(out_dir)
@@ -351,6 +349,9 @@ def run_experiment(
             dataset = load_dataset(cfg.dataset, data_dir)
             if dataset_cache is not None:
                 dataset_cache[key] = dataset
+    if len(dataset.train) == 0:
+        raise DataError("the training split has 0 example(s); training needs at least 1")
+    _check_test_split(cfg.method, dataset.test, cfg.layer_widths[0])
 
     ckpt_path = out_dir / "checkpoints" / checkpoint_filename(cfg)
     with _stage("train-or-load", wall_times):
@@ -377,7 +378,7 @@ def run_experiment(
 def analyze_checkpoint(
     checkpoint_path,
     method: str,
-    spectral: SpectralConfig | None = None,
+    spectral: SpectralConfig = SpectralConfig(),
     test_set: LabeledImageSet | None = None,
 ) -> ExperimentReport:
     """Re-run the graph analysis of a stored model without retraining.
@@ -390,11 +391,12 @@ def analyze_checkpoint(
     wall_times: dict = {}
     with _stage("load-checkpoint", wall_times):
         model = load_checkpoint(checkpoint_path)
+    _check_test_split(method, test_set, model.architecture.layer_widths[0])
     return _analyze_model(
         model,
         method,
         test_set,
-        spectral if spectral is not None else SpectralConfig(),
+        spectral,
         wall_times,
         dataset=None,
         seed=None,
@@ -415,63 +417,41 @@ def run_grid(
     data_dir,
     out_dir,
     seeds=(0,),
-    train_cfg: TrainConfig | None = None,
-    spectral: SpectralConfig | None = None,
+    train_cfg: TrainConfig = TrainConfig(),
+    spectral: SpectralConfig = SpectralConfig(),
     datasets=("mnist", "fashion_mnist"),
     layer_widths=DEFAULT_LAYER_WIDTHS,
 ) -> GridResult:
     """All dataset x activation x dropout cells, both methods, every seed.
 
     A failing cell is recorded and skipped; the rest of the grid continues.
-    Writes per-experiment JSON, a grid CSV, one rendered table per method,
+    Writes per-experiment JSON, the tables and grid CSV of ``write_tables``,
     and a summary JSON with the activation-ordering and dropout-effect
     checks.
     """
-    train_cfg = train_cfg if train_cfg is not None else TrainConfig()
-    spectral = spectral if spectral is not None else SpectralConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: list[ExperimentReport] = []
     failures: list[dict] = []
     cache: dict = {}
-    for dataset in datasets:
-        for activation in ("relu", "sigmoid"):
-            for dropout in (False, True):
-                for seed in seeds:
-                    for method in METHODS:
-                        cfg = ExperimentConfig(
-                            dataset=dataset,
-                            activation=activation,
-                            dropout=dropout,
-                            method=method,
-                            layer_widths=tuple(layer_widths),
-                            train=replace(train_cfg, rng_seed=seed),
-                            spectral=spectral,
-                        )
-                        label = (
-                            f"{dataset}/{activation}/"
-                            f"{'dropout' if dropout else 'nodropout'}/"
-                            f"{method}/seed{seed}"
-                        )
-                        log.info("running %s", label)
-                        try:
-                            reports.append(
-                                run_experiment(cfg, data_dir, out_dir, cache)
-                            )
-                        except Exception as e:
-                            failures.append(
-                                {
-                                    "cell": label,
-                                    "stage": getattr(e, "stage", None),
-                                    "error": str(e),
-                                }
-                            )
-    tables = {}
-    for method in METHODS:
-        rendered = render_method_table(reports, method)
-        tables[method] = rendered
-        write_atomic(out_dir / f"table_{method}.txt", rendered.encode())
-    write_grid_csv(reports, out_dir / "grid.csv")
+    cells = itertools.product(datasets, ACTIVATIONS, (False, True), seeds, METHODS)
+    for dataset, activation, dropout, seed, method in cells:
+        cfg = ExperimentConfig(
+            dataset=dataset,
+            activation=activation,
+            dropout=dropout,
+            method=method,
+            layer_widths=tuple(layer_widths),
+            train=replace(train_cfg, rng_seed=seed),
+            spectral=spectral,
+        )
+        label = "/".join((*_cell_parts(cfg), method, f"seed{seed}"))
+        log.info("running %s", label)
+        try:
+            reports.append(run_experiment(cfg, data_dir, out_dir, cache))
+        except Exception as e:
+            failures.append({"cell": label, "stage": getattr(e, "stage", None), "error": str(e)})
+    tables = write_tables(reports, out_dir)
     summary = ordering_summary(reports)
     summary["failures"] = failures
     summary["seeds"] = list(seeds)
@@ -559,10 +539,19 @@ def grid_csv_rows(reports) -> list[list]:
     return rows
 
 
-def write_grid_csv(reports, path) -> None:
+def write_tables(reports, out_dir) -> dict:
+    """Write ``table_<method>.txt`` for each method that has reports, and
+    ``grid.csv``, under ``out_dir``; returns the rendered tables by method."""
+    out_dir = Path(out_dir)
+    tables = {}
+    for method in METHODS:
+        if any(r.method == method for r in reports):
+            tables[method] = render_method_table(reports, method)
+            write_atomic(out_dir / f"table_{method}.txt", tables[method].encode())
     text = io.StringIO()
     csv.writer(text).writerows(grid_csv_rows(reports))
-    write_atomic(path, text.getvalue().encode())
+    write_atomic(out_dir / "grid.csv", text.getvalue().encode())
+    return tables
 
 
 def ordering_summary(reports) -> dict:
@@ -574,15 +563,13 @@ def ordering_summary(reports) -> dict:
     whether enabling dropout lowered the ncut. Both are reported per seed
     and on per-cell means, with no claim asserted.
     """
-    # rows are (method, dataset, activation, dropout, ncut) tuples, the cell
-    # key of _cell_key followed by the ncut
+    # ncuts come as {_cell_key: ncut}; these index the varied key part
     activation, dropout = 2, 3
 
-    def _pairs(rows, vary, lo_value, hi_value):
+    def _pairs(ncuts, vary, lo_value, hi_value):
         index = {}
-        for row in rows:
-            fixed = row[:vary] + row[vary + 1 : 4]
-            index.setdefault(fixed, {})[row[vary]] = row[4]
+        for key, ncut in ncuts.items():
+            index.setdefault(key[:vary] + key[vary + 1 :], {})[key[vary]] = ncut
         out = {}
         for key, vals in sorted(index.items(), key=lambda kv: tuple(map(str, kv[0]))):
             if lo_value in vals and hi_value in vals:
@@ -592,16 +579,16 @@ def ordering_summary(reports) -> dict:
 
     by_seed: dict = {}
     for r in reports:
-        by_seed.setdefault(r.seed, []).append((*_cell_key(r), r.ncut))
+        by_seed.setdefault(r.seed, {})[_cell_key(r)] = r.ncut
     ordering_per_seed = {}
     dropout_per_seed = {}
-    for seed, rows in sorted(by_seed.items(), key=lambda kv: str(kv[0])):
-        ordering_per_seed[str(seed)] = _pairs(rows, activation, "sigmoid", "relu")
-        dropout_per_seed[str(seed)] = _pairs(rows, dropout, True, False)
+    for seed, ncuts in sorted(by_seed.items(), key=lambda kv: str(kv[0])):
+        ordering_per_seed[str(seed)] = _pairs(ncuts, activation, "sigmoid", "relu")
+        dropout_per_seed[str(seed)] = _pairs(ncuts, dropout, True, False)
 
-    mean_rows = [(*key, cell["ncut"]) for key, cell in _cell_means(reports).items()]
-    ordering_mean = _pairs(mean_rows, activation, "sigmoid", "relu")
-    dropout_mean = _pairs(mean_rows, dropout, True, False)
+    mean_ncuts = {key: cell["ncut"] for key, cell in _cell_means(reports).items()}
+    ordering_mean = _pairs(mean_ncuts, activation, "sigmoid", "relu")
+    dropout_mean = _pairs(mean_ncuts, dropout, True, False)
     return {
         "activation_ordering": {
             "per_seed": ordering_per_seed,

@@ -8,11 +8,11 @@ import pytest
 
 from mlpmod import cli
 from mlpmod.checkpoint import save_checkpoint
-from mlpmod.data import SPLIT_FILES, write_idx_images, write_idx_labels
-from mlpmod.harness import ExperimentReport, run_experiment
-from mlpmod.mlp import MlpArchitecture, init_model
+from mlpmod.data import SPLIT_FILES, make_synthetic_dataset, write_idx_images, write_idx_labels
+from mlpmod.harness import ExperimentReport, run_experiment, run_grid
+from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
 
-from conftest import smoke_config
+from conftest import SMOKE_WIDTHS, smoke_config
 
 
 def run_cli(*args):
@@ -247,6 +247,22 @@ def test_report_command_renders_tables(smoke_data_dir, tmp_path):
     assert (tmp_path / "reports" / "grid.csv").is_file()
 
 
+@pytest.mark.parametrize("n_test", [20, 1], ids=["all-cells", "spearman-cells-fail"])
+def test_report_rewrites_the_grid_tables_byte_for_byte(tmp_path, capsys, n_test):
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=n_test, seed=0)
+    grid = tmp_path / "grid"
+    run_grid(
+        tmp_path, grid, seeds=(0, 1), train_cfg=TrainConfig(epochs=1),
+        datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
+    )
+    assert cli.main(["report", "--in", str(grid / "reports")]) == 0, capsys.readouterr().err
+    written = sorted(p.name for p in grid.iterdir() if p.suffix in (".txt", ".csv"))
+    rewritten = sorted(p.name for p in (grid / "reports").iterdir() if p.suffix in (".txt", ".csv"))
+    assert written == rewritten
+    for name in written:
+        assert (grid / "reports" / name).read_bytes() == (grid / name).read_bytes()
+
+
 def test_well_typed_report_renders(tmp_path):
     (tmp_path / "report_ok.json").write_text(_report_with(ncut=2, test_accuracy_percent=None))
     proc = run_cli("report", "--in", str(tmp_path))
@@ -271,6 +287,16 @@ def test_negative_seed_is_usage_error(tmp_path):
     )
     assert proc.returncode == 1
     assert "--seeds" in proc.stderr
+
+
+def test_repeated_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("ran a grid"))
+    code = cli.main([
+        "grid", "--seeds", "0,1,1", "--data-dir", str(tmp_path), "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error" in err and "--seeds" in err and "seed 1 is repeated" in err
 
 
 def test_value_error_inside_training_is_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -74,6 +74,28 @@ def test_truncated_image_file_rejected(fixture_images, tmp_path):
         load_idx_images(path)
 
 
+def _truncated(raw):
+    return raw[:-20]
+
+
+def _corrupt_deflate(raw):
+    # the first deflate byte after the 10-byte gzip header: block type 3 is reserved
+    return raw[:10] + b"\xff" + raw[11:]
+
+
+def _bad_crc(raw):
+    return raw[:-8] + bytes(b ^ 0xFF for b in raw[-8:-4]) + raw[-4:]
+
+
+@pytest.mark.parametrize("damage", [_truncated, _corrupt_deflate, _bad_crc])
+def test_corrupt_gzip_file_is_data_error_naming_it(fixture_images, tmp_path, damage):
+    path = tmp_path / "t10k-images-idx3-ubyte.gz"
+    write_idx_images(path, fixture_images, compress=True)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DataError, match="t10k-images-idx3-ubyte.gz: corrupt gzip file"):
+        load_idx_images(path)
+
+
 def test_wrong_image_dimensions_rejected(tmp_path):
     header = struct.pack(">IIII", 0x00000803, 1, 27, 28)
     (tmp_path / "images").write_bytes(header + b"\x00" * (27 * 28))

@@ -1,6 +1,7 @@
 import json
 import logging
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,37 @@ def test_empty_test_split_is_data_error(tmp_path, method):
         run_experiment(smoke_config(method), tmp_path, tmp_path / "out")
 
 
+def _train_forbidden(*args, **kwargs):
+    pytest.fail("trained before the splits were checked")
+
+
+@pytest.mark.parametrize(
+    "method, n_test, widths",
+    [
+        pytest.param("weights", 0, SMOKE_WIDTHS, id="weights-empty"),
+        pytest.param("spearman", 0, SMOKE_WIDTHS, id="spearman-empty"),
+        pytest.param("spearman", 1, SMOKE_WIDTHS, id="spearman-one-example"),
+        pytest.param("weights", 20, (100, 8, 10), id="weights-narrow-model"),
+        pytest.param("spearman", 20, (100, 8, 10), id="spearman-narrow-model"),
+    ],
+)
+def test_bad_test_split_fails_before_training(tmp_path, monkeypatch, method, n_test, widths):
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=n_test, seed=0)
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    cfg = replace(smoke_config(method), layer_widths=widths)
+    with pytest.raises(DataError, match=f"has {n_test} example|784 pixels"):
+        run_experiment(cfg, tmp_path, tmp_path / "out")
+    assert list((tmp_path / "out" / "checkpoints").iterdir()) == []
+
+
+def test_empty_training_split_is_data_error_before_training(tmp_path, monkeypatch):
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=0, n_test=20, seed=0)
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    with pytest.raises(DataError, match="training split has 0 example"):
+        run_experiment(smoke_config("weights"), tmp_path, tmp_path / "out")
+    assert list((tmp_path / "out" / "checkpoints").iterdir()) == []
+
+
 def test_grid_records_empty_test_split_as_cell_failure(tmp_path):
     make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=0, seed=0)
     result = run_grid(
@@ -329,6 +361,23 @@ def test_grid_killed_between_checkpoint_and_report_reruns_as_clean(
                 assert a == b
             else:
                 assert a.read_bytes() == b.read_bytes()
+
+
+def test_grid_whose_spearman_cells_all_fail_writes_no_spearman_table(tmp_path):
+    # one test example: enough for the weights method, too few for spearman
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=1, seed=0)
+    result = run_grid(
+        tmp_path,
+        tmp_path / "out",
+        train_cfg=TrainConfig(epochs=1),
+        datasets=("smoke",),
+        layer_widths=SMOKE_WIDTHS,
+    )
+    assert {r.method for r in result.reports} == {"weights"}
+    assert len(result.failures) == 4
+    assert list(result.tables) == ["weights"]
+    assert (tmp_path / "out" / "table_weights.txt").is_file()
+    assert not (tmp_path / "out" / "table_spearman.txt").exists()
 
 
 def _fake_report(method, dataset, activation, dropout, seed, ncut_value, acc=90.0):
