@@ -1,7 +1,8 @@
 """A trained MLP as a weighted graph, scored with the exact normalized cut.
 
 Builds the graph of a tiny 1-2-1 network by hand, then shows how the ncut
-of a partition reacts to where the boundary is drawn.
+of a partition reacts to where the boundary is drawn. The graph is held as
+its layer-pair blocks; ``.dense()`` gives the full adjacency matrix.
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ weights = [
     np.array([[2.0], [-3.0]]),   # input -> hidden
     np.array([[0.5, 4.0]]),      # hidden -> output
 ]
-adjacency = build_weight_adjacency(weights, (1, 2, 1))
+graph = build_weight_adjacency(weights, (1, 2, 1))  # one block per layer pair
+adjacency = graph.dense()
 print("adjacency (|weight| on adjacent-layer edges, nodes 0..3):")
 print(adjacency)
-print("degrees:", adjacency.sum(axis=1))
+print("degrees from the blocks:", graph.degrees())
 
 # partition A: input+hidden0 vs hidden1+output
 labels_a = np.array([0, 0, 1, 1])
@@ -33,7 +35,7 @@ for name, labels in (("A", labels_a), ("B", labels_b)):
             f"  cluster {c}: volume={volume(adjacency, part):.2f} "
             f"cut={cut_weight(adjacency, part, others):.2f}"
         )
-    print(f"  ncut = {ncut(adjacency, labels, 2):.4f}")
+    print(f"  ncut = {ncut(graph, labels, 2):.4f}  (dense: {ncut(adjacency, labels, 2):.4f})")
 
 print("\nLower ncut means the boundary crosses less relative weight;")
 print("cutting through the 4.0 edge is punished accordingly.")

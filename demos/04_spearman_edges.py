@@ -32,7 +32,7 @@ table = np.stack([
     dead,                                      # hidden1 never fires
     np.array([0.9, 0.2, 0.6, 0.1, 0.15]),     # output anti-correlated
 ])
-adjacency = build_correlation_adjacency(table, (1, 2, 1))
+graph = build_correlation_adjacency(table, (1, 2, 1))
 print("\ncorrelation adjacency (|spearman| on edges):")
-print(np.round(adjacency, 3))
+print(np.round(graph.dense(), 3))
 print("dead hidden1 (node 2) has only zero-weight edges")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .graph import adjacency_from_blocks, layer_starts
+from .graph import LayeredGraph, layer_starts
 
 __all__ = [
     "spearman",
@@ -91,8 +91,9 @@ def _standardize_ranks(x: np.ndarray) -> None:
     x[position] = np.repeat(twice_centered * 0.5 / norm, sizes)
 
 
-def build_correlation_adjacency(table: np.ndarray, architecture) -> np.ndarray:
-    """Adjacency matrix with |Spearman correlation| edge weights.
+def build_correlation_adjacency(table: np.ndarray, architecture) -> LayeredGraph:
+    """The network graph with |Spearman correlation| edge weights, as a
+    :class:`~mlpmod.graph.LayeredGraph`; ``.dense()`` gives the n x n matrix.
 
     ``table`` is an (N, m) activation table, as ``record_activations``
     writes it: one row per neuron in the graph's numbering, one column per
@@ -116,9 +117,9 @@ def build_correlation_adjacency(table: np.ndarray, architecture) -> np.ndarray:
     if z.shape[1] < 2:
         raise ValueError("need at least two recorded examples")
     standardize_rank_rows(z)
-    return adjacency_from_blocks(
+    return LayeredGraph(
         widths,
-        (
+        tuple(
             np.abs(z[starts[i] : starts[i + 1]] @ z[starts[i + 1] : starts[i + 2]].T)
             for i in range(len(widths) - 1)
         ),

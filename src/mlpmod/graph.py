@@ -4,18 +4,21 @@ partition scoring.
 Neurons of all layers (input and output included) are numbered
 consecutively: layer 0 first, then layer 1, and so on. Edges exist only
 between adjacent layers and carry the absolute trained weight; biases do
-not appear in the graph.
+not appear in the graph. Such a graph is held as a :class:`LayeredGraph`,
+one weight block per adjacent layer pair, and is bipartite: the even layers
+against the odd layers.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "layer_starts",
-    "adjacency_from_blocks",
+    "LayeredGraph",
     "build_weight_adjacency",
     "degree",
     "volume",
@@ -34,39 +37,124 @@ def layer_starts(layer_widths: Sequence[int]) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(widths)])
 
 
-def adjacency_from_blocks(
-    layer_widths: Sequence[int], blocks: Iterable[np.ndarray]
-) -> np.ndarray:
-    """Dense symmetric adjacency matrix from its layer-pair blocks.
+@dataclass(frozen=True, eq=False)
+class LayeredGraph:
+    """A graph whose edges join adjacent layers only, held as its blocks.
 
-    ``blocks`` yields one block per adjacent layer pair, in order; block
-    ``t`` has shape ``(widths[t], widths[t+1])``, rows in layer ``t`` and
-    columns in layer ``t+1``. Every other entry is zero, so the result is
-    symmetric with a zero diagonal by construction.
+    ``blocks[t]`` has shape ``(widths[t], widths[t+1])``: rows in layer
+    ``t``, columns in layer ``t+1``. Nodes are numbered layer by layer. The
+    graph is symmetric with a zero diagonal by construction. A width may be
+    0, for a layer whose every node was left out by :meth:`subgraph`.
+    Construction checks the shapes; :func:`~mlpmod.spectral.cluster_graph`
+    checks the entries.
     """
-    starts = layer_starts(layer_widths)
-    n = int(starts[-1])
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for t, block in enumerate(blocks):
-        r0, r1 = starts[t], starts[t + 1]
-        c0, c1 = starts[t + 1], starts[t + 2]
-        adjacency[r0:r1, c0:c1] = block
-        adjacency[c0:c1, r0:r1] = block.T
-    return adjacency
+
+    widths: tuple[int, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        widths = tuple(int(w) for w in self.widths)
+        if len(widths) < 2 or min(widths) < 0:
+            raise ValueError(f"need at least two nonnegative layer widths, got {widths}")
+        blocks = tuple(np.asarray(b, dtype=np.float64) for b in self.blocks)
+        if len(blocks) != len(widths) - 1:
+            raise ValueError(
+                f"expected {len(widths) - 1} blocks for {len(widths)} layers, got {len(blocks)}"
+            )
+        for t, block in enumerate(blocks):
+            expected = (widths[t], widths[t + 1])
+            if block.shape != expected:
+                raise ValueError(f"block {t} has shape {block.shape}, expected {expected}")
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def n_nodes(self) -> int:
+        return sum(self.widths)
+
+    def degrees(self) -> np.ndarray:
+        """Each node's row sum in its own layer's block plus its column sum
+        in the previous layer's block."""
+        deg = [np.zeros(w) for w in self.widths]
+        for t, block in enumerate(self.blocks):
+            deg[t] += block.sum(axis=1)
+            deg[t + 1] += block.sum(axis=0)
+        return np.concatenate(deg)
+
+    def is_even(self) -> np.ndarray:
+        """Per node: True in an even layer, False in an odd one."""
+        return np.repeat(np.arange(len(self.widths)) % 2 == 0, self.widths)
+
+    def subgraph(self, keep: np.ndarray) -> LayeredGraph:
+        """The graph on the nodes where the boolean ``keep`` is True.
+
+        Every layer keeps its place, so a layer left with no node has width
+        0 and the parity of the others does not change.
+        """
+        if keep.all():
+            return self
+        masks = np.split(keep, np.cumsum(self.widths)[:-1])
+        return LayeredGraph(
+            tuple(int(m.sum()) for m in masks),
+            tuple(b[np.ix_(masks[t], masks[t + 1])] for t, b in enumerate(self.blocks)),
+        )
+
+    def bipartite_block(self) -> np.ndarray:
+        """The even x odd block ``B``, a new array.
+
+        ``B[i, j]`` joins the ``i``-th even-layer node to the ``j``-th
+        odd-layer node, each side counted in node order. With the even nodes
+        first, the adjacency matrix is ``[[0, B], [B.T, 0]]``.
+        """
+        offset, side = [], [0, 0]  # offset of each layer within its side
+        for t, width in enumerate(self.widths):
+            offset.append(side[t % 2])
+            side[t % 2] += width
+        b = np.zeros(side)
+        for t, block in enumerate(self.blocks):
+            here = slice(offset[t], offset[t] + self.widths[t])
+            there = slice(offset[t + 1], offset[t + 1] + self.widths[t + 1])
+            if t % 2 == 0:
+                b[here, there] = block
+            else:
+                b[there, here] = block.T
+        return b
+
+    def dense(self) -> np.ndarray:
+        """The dense symmetric n x n adjacency matrix: the reference the
+        block code is tested against, and the input of the dense path."""
+        starts = np.concatenate([[0], np.cumsum(self.widths)])
+        adjacency = np.zeros((self.n_nodes, self.n_nodes))
+        for t, block in enumerate(self.blocks):
+            rows = slice(starts[t], starts[t + 1])
+            cols = slice(starts[t + 1], starts[t + 2])
+            adjacency[rows, cols] = block
+            adjacency[cols, rows] = block.T
+        return adjacency
+
+    def within_weights(self, labels: np.ndarray, n_clusters: int) -> np.ndarray:
+        """Total weight inside each cluster, both directions of every edge
+        counted as in a dense adjacency's ``A[c, c].sum()``."""
+        onehot = (labels[:, None] == np.arange(n_clusters)).astype(np.float64)
+        parts = np.split(onehot, np.cumsum(self.widths)[:-1])
+        within = np.zeros(n_clusters)
+        for t, block in enumerate(self.blocks):
+            within += (parts[t] * (block @ parts[t + 1])).sum(axis=0)
+        return 2.0 * within
 
 
 def build_weight_adjacency(
     layer_weight_matrices: Sequence[np.ndarray],
     layer_widths: Sequence[int],
-) -> np.ndarray:
-    """Adjacency matrix of the network graph from trained weight matrices.
+) -> LayeredGraph:
+    """The network graph of trained weight matrices, as a :class:`LayeredGraph`.
 
     ``layer_weight_matrices[t]`` must have shape ``(widths[t+1], widths[t])``
     and connects layer ``t`` to layer ``t+1``. Each edge carries the absolute
-    weight; everything else (including the diagonal) is zero. Biases are
-    ignored.
+    weight; biases are ignored. ``.dense()`` gives the n x n matrix.
     """
-    widths = list(layer_widths)
+    widths = tuple(layer_widths)
+    layer_starts(widths)  # rejects fewer than two or non-positive widths
     if len(layer_weight_matrices) != len(widths) - 1:
         raise ValueError(
             f"expected {len(widths) - 1} weight matrices for "
@@ -81,7 +169,7 @@ def build_weight_adjacency(
                 f"weight matrix {t} has shape {w.shape}, expected {expected}"
             )
         blocks.append(np.abs(w).T)  # rows: layer t, cols: layer t+1
-    return adjacency_from_blocks(widths, blocks)
+    return LayeredGraph(widths, tuple(blocks))
 
 
 def degree(adjacency: np.ndarray, node: int) -> float:
@@ -116,22 +204,33 @@ def cut_weight(adjacency: np.ndarray, left: Iterable[int], right: Iterable[int])
     return float(adjacency[np.ix_(li, ri)].sum())
 
 
-def ncut(adjacency: np.ndarray, labels: np.ndarray, n_clusters: int | None = None) -> float:
+def ncut(
+    graph: LayeredGraph | np.ndarray, labels: np.ndarray, n_clusters: int | None = None
+) -> float:
     """Normalized cut of the partition given by ``labels``.
 
+    ``graph`` is a :class:`LayeredGraph`, whose volumes and within-cluster
+    weights come from its blocks, or a dense adjacency matrix.
     ``labels[i]`` is the cluster of node ``i``, in ``0..n_clusters-1``; every
     cluster must be nonempty and have positive volume. Lower values mean the
     clusters are better separated; 0 means no edges cross cluster borders.
     """
-    a = np.asarray(adjacency, dtype=np.float64)
     labels = np.asarray(labels)
-    n = a.shape[0]
+    if isinstance(graph, LayeredGraph):
+        n = graph.n_nodes
+    else:
+        a = np.asarray(graph, dtype=np.float64)
+        n = a.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     k = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
     if k < 1 or labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in 0..{k - 1}")
-    deg = a.sum(axis=1)
+    if isinstance(graph, LayeredGraph):
+        deg, within = graph.degrees(), graph.within_weights(labels, k)
+    else:
+        deg = a.sum(axis=1)
+        within = [a[np.ix_(labels == c, labels == c)].sum() for c in range(k)]
     score = 0.0
     for c in range(k):
         mask = labels == c
@@ -140,6 +239,5 @@ def ncut(adjacency: np.ndarray, labels: np.ndarray, n_clusters: int | None = Non
         vol = float(deg[mask].sum())
         if vol == 0.0:
             raise ValueError(f"cluster {c} has zero volume; ncut is undefined")
-        within = float(a[np.ix_(mask.nonzero()[0], mask.nonzero()[0])].sum())
-        score += (vol - within) / vol
+        score += (vol - float(within[c])) / vol
     return score

@@ -265,18 +265,18 @@ def _analyze_model(
     accuracy = None
     with _stage("adjacency", wall_times):
         if method == "weights":
-            adjacency = build_weight_adjacency(model.weights, arch.layer_widths)
+            graph = build_weight_adjacency(model.weights, arch.layer_widths)
         else:
             table = record_activations(model, test_set.images)
-            # read before the adjacency build ranks the table in place
+            # read before the graph build ranks the table in place
             accuracy = logit_accuracy(table[-arch.n_classes :].T, test_set.labels)
-            adjacency = build_correlation_adjacency(table, arch)
+            graph = build_correlation_adjacency(table, arch)
             del table  # n_neurons x m floats, dead once ranked: free before clustering
     if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
             accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
     with _stage("cluster", wall_times):
-        result = cluster_graph(adjacency, spectral)
+        result = cluster_graph(graph, spectral)
     sizes = result.cluster_sizes().tolist()
     kept = result.labels >= 0
     layer_of = np.repeat(np.arange(len(arch.layer_widths)), arch.layer_widths)
@@ -427,8 +427,12 @@ def run_grid(
     A failing cell is recorded and skipped; the rest of the grid continues.
     Writes per-experiment JSON, the tables and grid CSV of ``write_tables``,
     and a summary JSON with the activation-ordering and dropout-effect
-    checks.
+    checks. A seed given twice raises ``ValueError`` before any work.
     """
+    seeds = list(seeds)
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ValueError(f"seed {repeated[0]} is repeated in seeds {seeds}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: list[ExperimentReport] = []

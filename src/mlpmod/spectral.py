@@ -1,5 +1,12 @@
-"""Normalized spectral clustering: symmetric Laplacian, dense
-eigendecomposition, row-normalized embedding, seeded k-means with restarts.
+"""Normalized spectral clustering: the smallest eigenpairs of the symmetric
+normalized Laplacian, row-normalized embedding, seeded k-means with restarts.
+
+A :class:`~mlpmod.graph.LayeredGraph` is bipartite, even layers against odd
+layers, so its eigenpairs come from a singular value decomposition of the
+degree-scaled even x odd block (Dhillon, KDD 2001) and no n x n matrix is
+formed. A dense adjacency matrix goes through its Laplacian and a dense
+symmetric eigendecomposition; that path is also the reference the block
+path is tested against.
 """
 
 from __future__ import annotations
@@ -8,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import ncut
+from .graph import LayeredGraph, ncut
 
 __all__ = [
     "SpectralConfig",
@@ -16,6 +23,7 @@ __all__ = [
     "EigensolverError",
     "normalized_laplacian",
     "smallest_eigenvectors",
+    "bipartite_eigenvectors",
     "row_normalize",
     "kmeans_single",
     "kmeans",
@@ -119,18 +127,74 @@ def smallest_eigenvectors(
         raise EigensolverError(f"dense eigendecomposition failed: {e}") from e
     values = values[:n_vectors]
     vectors = vectors[:, :n_vectors]
-    scale = max(1.0, float(np.linalg.norm(lap)))
     residuals = np.linalg.norm(lap @ vectors - vectors * values, axis=0)
-    if not np.all(residuals <= eig_tol * scale):
+    _check_eigenpairs(residuals, float(np.linalg.norm(lap)), vectors, eig_tol)
+    return values, vectors
+
+
+def bipartite_eigenvectors(
+    graph: LayeredGraph, n_vectors: int, eig_tol: float = EIG_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``graph``'s normalized Laplacian for the ``n_vectors``
+    smallest eigenvalues, without forming the n x n matrix.
+
+    With ``B~ = D_e^{-1/2} B D_o^{-1/2}`` the degree-scaled even x odd block
+    (:meth:`~mlpmod.graph.LayeredGraph.bipartite_block`), the Laplacian is
+    ``I - [[0, B~], [B~^T, 0]]``, so each singular triplet ``(s, u, v)`` of
+    ``B~`` gives the eigenvalue ``1 - s`` with eigenvector ``[u; v] / sqrt(2)``
+    (Dhillon, KDD 2001), put back in node order. When ``n_vectors`` exceeds
+    the smaller side, the null space of ``B~`` holds wanted eigenvectors
+    that the thin SVD does not return, and the dense Laplacian of
+    ``graph.dense()`` goes through :func:`smallest_eigenvectors` instead.
+
+    Every node must have positive degree. The checks are those of
+    :func:`smallest_eigenvectors`, in block form: each pair's residual
+    ``||[s u - B~ v; s v - B~^T u]|| / sqrt(2)`` against
+    ``eig_tol * max(1, ||L||_F)``, where ``||L||_F^2 = n + 2 ||B~||_F^2``,
+    and orthonormal columns.
+    """
+    deg = graph.degrees()
+    if np.any(deg <= 0):
+        raise ValueError(f"nodes with zero degree: {np.flatnonzero(deg <= 0).tolist()[:10]}")
+    even = graph.is_even()
+    if not 1 <= n_vectors <= deg.size:
+        raise ValueError(f"need 1 <= n_vectors <= {deg.size}, got {n_vectors}")
+    if n_vectors > min(even.sum(), deg.size - even.sum()):
+        return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors, eig_tol)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    b = graph.bipartite_block()
+    b *= inv_sqrt[even][:, None]
+    b *= inv_sqrt[~even]
+    try:
+        u, sigma, vt = np.linalg.svd(b, full_matrices=False)
+    except np.linalg.LinAlgError as e:
+        raise EigensolverError(f"bipartite singular value decomposition failed: {e}") from e
+    sigma, u, v = sigma[:n_vectors], u[:, :n_vectors], vt[:n_vectors].T
+    residuals = np.linalg.norm(np.vstack([u * sigma - b @ v, v * sigma - b.T @ u]), axis=0)
+    residuals /= np.sqrt(2.0)
+    vectors = np.empty((deg.size, n_vectors))
+    vectors[even] = u
+    vectors[~even] = v
+    vectors *= np.sqrt(0.5)
+    _check_eigenpairs(residuals, np.sqrt(deg.size + 2 * np.sum(b * b)), vectors, eig_tol)
+    return 1.0 - sigma, vectors
+
+
+def _check_eigenpairs(
+    residuals: np.ndarray, laplacian_norm: float, vectors: np.ndarray, eig_tol: float
+) -> None:
+    """Raise :class:`EigensolverError` unless every residual is within
+    ``eig_tol * max(1, ||L||_F)`` and the columns are orthonormal; a NaN
+    pair fails both."""
+    if not np.all(residuals <= eig_tol * max(1.0, laplacian_norm)):
         raise EigensolverError(
             f"eigenpair residuals exceed {eig_tol:g} * max(1, ||L||_F): "
             f"max {residuals.max():.3e}",
             residuals=residuals,
         )
     gram = vectors.T @ vectors
-    if not (np.max(np.abs(gram - np.eye(n_vectors))) <= 1e-8):
+    if not (np.max(np.abs(gram - np.eye(vectors.shape[1]))) <= 1e-8):
         raise EigensolverError("eigenvector columns are not orthonormal")
-    return values, vectors
 
 
 def row_normalize(embedding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,43 +287,62 @@ def kmeans(
     return best_labels, float(best_cost)
 
 
-def cluster_graph(adjacency: np.ndarray, config: SpectralConfig) -> ClusteringResult:
-    """Cluster a graph into ``config.k`` groups and score the partition.
-
-    ``adjacency`` must be a square matrix of finite, nonnegative entries,
-    symmetric to within 1e-12; anything else raises ``ValueError`` naming
-    the fault. Zero-degree nodes are removed up front and reported via
-    ``dropped``; the remaining subgraph goes through Laplacian -> smallest
-    eigenvectors -> row normalization -> k-means, and the resulting
-    partition is scored with the exact normalized cut.
-    """
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    # each test is written so that a NaN fails it
+def _check_entries(a: np.ndarray) -> None:
+    """The door on edge weights: finite and nonnegative, each test written
+    so that a NaN fails it."""
     if not np.isfinite(a.max(initial=0.0)):
         raise ValueError("adjacency has non-finite entries (NaN or inf)")
     if not (a.min(initial=0.0) >= 0.0):
         raise ValueError("adjacency has negative entries")
-    diff = a - a.T
-    asym = np.abs(diff, out=diff).max(initial=0.0)
-    del diff
-    if not (asym <= 1e-12):
-        raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
-    deg = a.sum(axis=1)
+
+
+def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> ClusteringResult:
+    """Cluster a graph into ``config.k`` groups and score the partition.
+
+    ``graph`` is a :class:`~mlpmod.graph.LayeredGraph`, as the builders
+    return, or a dense adjacency matrix, and its type picks the path. It is
+    checked once, and a fault raises ``ValueError`` naming it: each block of
+    a ``LayeredGraph``, or the whole dense matrix, must hold finite,
+    nonnegative entries, and a dense matrix must also be square and
+    symmetric to within 1e-12 (a ``LayeredGraph`` is symmetric by
+    construction). Zero-degree nodes are removed up front and reported via
+    ``dropped``. The kept subgraph's smallest eigenvectors come from
+    :func:`bipartite_eigenvectors` for a ``LayeredGraph`` and from
+    :func:`normalized_laplacian` and :func:`smallest_eigenvectors` for a
+    dense matrix; then row normalization -> k-means, and the partition is
+    scored with the exact normalized cut.
+    """
+    if isinstance(graph, LayeredGraph):
+        for block in graph.blocks:
+            _check_entries(block)
+        deg = graph.degrees()
+    else:
+        a = np.asarray(graph, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {a.shape}")
+        _check_entries(a)
+        diff = a - a.T
+        asym = np.abs(diff, out=diff).max(initial=0.0)
+        del diff
+        if not (asym <= 1e-12):
+            raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
+        deg = a.sum(axis=1)
     dropped = np.flatnonzero(deg == 0)
     kept = np.flatnonzero(deg > 0)
     if kept.size < config.k:
         raise ValueError(
             f"only {kept.size} nodes with nonzero degree; need at least {config.k}"
         )
-    sub = a[np.ix_(kept, kept)]
-    lap = normalized_laplacian(sub)
-    _, vectors = smallest_eigenvectors(lap, config.k)
+    if isinstance(graph, LayeredGraph):
+        sub = graph.subgraph(deg > 0)
+        _, vectors = bipartite_eigenvectors(sub, config.k)
+    else:
+        sub = a[np.ix_(kept, kept)]
+        _, vectors = smallest_eigenvectors(normalized_laplacian(sub), config.k)
     embedding, _ = row_normalize(vectors)
     sub_labels, cost = kmeans(embedding, config.k, rng=config.rng_seed)
     score = ncut(sub, sub_labels, config.k)
-    labels = np.full(a.shape[0], -1, dtype=np.int64)
+    labels = np.full(deg.size, -1, dtype=np.int64)
     labels[kept] = sub_labels
     return ClusteringResult(
         labels=labels,

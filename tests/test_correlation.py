@@ -196,7 +196,7 @@ def test_dead_unit_gives_zero_edges():
             [1.0, 2.0, 3.0, 4.0],
         ]
     )
-    a = build_correlation_adjacency(table, (1, 2, 1))
+    a = build_correlation_adjacency(table, (1, 2, 1)).dense()
     assert a[0, 2] == 0.0
     assert a[2, 3] == 0.0
     assert a[0, 1] != 0.0
@@ -206,7 +206,7 @@ def test_duplicate_columns_give_weight_one():
     rng = np.random.default_rng(5)
     col = rng.random(10)
     table = np.stack([col, col, rng.random(10)])
-    a = build_correlation_adjacency(table, (1, 1, 1))
+    a = build_correlation_adjacency(table, (1, 1, 1)).dense()
     assert a[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,7 +214,7 @@ def test_adjacency_matches_per_edge_oracle():
     rng = np.random.default_rng(6)
     widths = (2, 3, 2)
     table = rng.integers(0, 6, size=(7, 12)).astype(float)
-    a = build_correlation_adjacency(table.copy(), widths)
+    a = build_correlation_adjacency(table.copy(), widths).dense()
     assert_layered_adjacency(a, widths)
     starts = [0, 2, 5, 7]
     for layer in range(2):
@@ -229,9 +229,9 @@ def test_same_sparsity_pattern_as_weight_adjacency():
     rng = np.random.default_rng(7)
     widths = (3, 4, 2)
     weights = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
-    w_adj = build_weight_adjacency(weights, widths)
+    w_adj = build_weight_adjacency(weights, widths).dense()
     table = rng.standard_normal((9, 9))
-    c_adj = build_correlation_adjacency(table, widths)
+    c_adj = build_correlation_adjacency(table, widths).dense()
     # identical allowed blocks: wherever one can be nonzero, so can the other
     np.testing.assert_array_equal(w_adj == 0, np.where(c_adj == 0, True, False) | (w_adj == 0))
     assert_layered_adjacency(c_adj, widths)
@@ -252,7 +252,7 @@ def test_adjacency_ranks_a_float64_table_in_place():
     assert np.array_equal(fortran, table)  # another layout is copied, not ranked
     in_place = build_correlation_adjacency(table, (2, 3, 2))
     assert table.tobytes() == reference_standardized_rank_rows(fortran).tobytes()
-    assert in_place.tobytes() == from_copy.tobytes()
+    assert in_place.dense().tobytes() == from_copy.dense().tobytes()
 
 
 def test_standardized_rows_unit_norm_or_zero():
@@ -320,7 +320,7 @@ def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
     for a, b, c in zip(starts, starts[1:], starts[2:]):
         want[a:b, b:c] = np.abs(z[a:b] @ z[b:c].T)
         want[b:c, a:b] = want[a:b, b:c].T
-    got = build_correlation_adjacency(table, SMOKE_WIDTHS)
+    got = build_correlation_adjacency(table, SMOKE_WIDTHS).dense()
     assert got.tobytes() == want.tobytes()
 
 
@@ -329,4 +329,5 @@ def test_accepts_architecture_object():
     arch = MlpArchitecture(layer_widths=(2, 3, 2))
     table = rng.standard_normal((7, 8))
     a = build_correlation_adjacency(table, arch)
-    assert a.shape == (7, 7)
+    assert a.widths == (2, 3, 2)
+    assert a.dense().shape == (7, 7)

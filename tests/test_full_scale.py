@@ -1,11 +1,15 @@
 """Production-shape wiring checks: the full 784-256x4-10 architecture over
 real-size splits, with synthetic pixels standing in for the actual datasets."""
 
+import numpy as np
 import pytest
 
+from mlpmod.correlation import build_correlation_adjacency
+from mlpmod.data import load_splits
+from mlpmod.graph import build_weight_adjacency
 from mlpmod.harness import ExperimentConfig, run_experiment
-from mlpmod.mlp import TrainConfig
-from mlpmod.spectral import SpectralConfig
+from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model, record_activations
+from mlpmod.spectral import SpectralConfig, cluster_graph
 
 
 @pytest.mark.slow
@@ -36,3 +40,21 @@ def test_full_architecture_both_methods(full_shape_mnist_dir, tmp_path):
         reports["weights"].test_accuracy_percent
         == reports["spearman"].test_accuracy_percent
     )
+
+
+@pytest.mark.slow
+def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir):
+    arch = MlpArchitecture()
+    model = init_model(arch, 0)
+    test = load_splits(full_shape_mnist_dir / "mnist", ["test"])["test"]
+    graphs = {
+        "weights": build_weight_adjacency(model.weights, arch.layer_widths),
+        "spearman": build_correlation_adjacency(record_activations(model, test.images), arch),
+    }
+    cfg = SpectralConfig(k=4, rng_seed=0)
+    for method, graph in graphs.items():
+        assert graph.n_nodes == 1818
+        block, dense = cluster_graph(graph, cfg), cluster_graph(graph.dense(), cfg)
+        np.testing.assert_array_equal(block.labels, dense.labels, err_msg=method)
+        assert block.ncut_value == pytest.approx(dense.ncut_value, rel=1e-10)
+        assert block.kmeans_cost == pytest.approx(dense.kmeans_cost, rel=1e-10)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mlpmod.graph import (
+    LayeredGraph,
     build_weight_adjacency,
     cut_weight,
     degree,
@@ -80,6 +81,14 @@ def assert_layered_adjacency(a, widths):
     assert not off_block.any(), "nonzero entries outside adjacent-layer blocks"
 
 
+def random_layered(rng, widths, density=0.7):
+    """A LayeredGraph with random nonnegative blocks of the given widths."""
+    return LayeredGraph(widths, [
+        rng.random((a, b)) * (rng.random((a, b)) < density)
+        for a, b in zip(widths, widths[1:])
+    ])
+
+
 def path_graph(n):
     a = np.zeros((n, n))
     for i in range(n - 1):
@@ -111,7 +120,7 @@ def test_layer_starts_and_totals():
 
 def test_build_weight_adjacency_1_2_1():
     weights = [np.array([[2.0], [-3.0]]), np.array([[0.5, 4.0]])]
-    a = build_weight_adjacency(weights, (1, 2, 1))
+    a = build_weight_adjacency(weights, (1, 2, 1)).dense()
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 2.0
     expected[0, 2] = expected[2, 0] = 3.0
@@ -123,7 +132,7 @@ def test_build_weight_adjacency_1_2_1():
 
 def test_build_weight_adjacency_zero_weights():
     weights = [np.zeros((2, 1)), np.zeros((1, 2))]
-    a = build_weight_adjacency(weights, (1, 2, 1))
+    a = build_weight_adjacency(weights, (1, 2, 1)).dense()
     np.testing.assert_array_equal(a, np.zeros((4, 4)))
 
 
@@ -143,7 +152,7 @@ def test_build_weight_adjacency_default_architecture_pattern():
         rng.standard_normal((widths[t + 1], widths[t]))
         for t in range(len(widths) - 1)
     ]
-    a = build_weight_adjacency(weights, widths)
+    a = build_weight_adjacency(weights, widths).dense()
     assert a.shape == (1818, 1818)
     assert_layered_adjacency(a, widths)
     # construction oracle: every adjacent-layer entry must equal |w|
@@ -162,7 +171,7 @@ def test_build_weight_adjacency_invariants_random():
             rng.standard_normal((widths[t + 1], widths[t]))
             for t in range(n_layers - 1)
         ]
-        a = build_weight_adjacency(weights, widths)
+        a = build_weight_adjacency(weights, widths).dense()
         assert_layered_adjacency(a, widths)
 
 
@@ -317,3 +326,72 @@ def test_ncut_zero_iff_no_crossing_edges():
     crossing = np.array([0, 1, 1, 2, 2, 2, 0, 0, 0])
     assert ncut(a, crossing, 3) > 0.0
 
+
+
+# ---------------------------------------------------------------------------
+# LayeredGraph against its dense matrix
+
+# layer counts both odd and even, so the last layer falls on either side
+LAYER_WIDTHS = [(3, 5), (4, 3, 6), (5, 3, 4, 3), (3, 6, 1, 5, 3), (7, 4, 4, 4, 4, 3)]
+
+
+def test_layered_graph_rejects_bad_shapes():
+    with pytest.raises(ValueError, match=r"block 1 has shape \(3, 2\), expected \(2, 3\)"):
+        LayeredGraph((1, 2, 3), [np.ones((1, 2)), np.ones((3, 2))])
+    with pytest.raises(ValueError, match="expected 2 blocks for 3 layers, got 1"):
+        LayeredGraph((1, 2, 3), [np.ones((1, 2))])
+    with pytest.raises(ValueError, match="at least two nonnegative layer widths"):
+        LayeredGraph((4,), [])
+    with pytest.raises(ValueError, match="at least two nonnegative layer widths"):
+        LayeredGraph((2, -1), [np.ones((2, 0))])
+
+
+@pytest.mark.parametrize("widths", LAYER_WIDTHS, ids=str)
+def test_layered_graph_matches_dense_oracle(widths):
+    rng = np.random.default_rng(len(widths))
+    graph = random_layered(rng, widths)
+    a = graph.dense()
+    assert_layered_adjacency(a, widths)
+    starts = layer_starts(widths)
+    for t, block in enumerate(graph.blocks):
+        np.testing.assert_array_equal(a[starts[t] : starts[t + 1], starts[t + 1] : starts[t + 2]], block)
+    np.testing.assert_allclose(graph.degrees(), [naive_degree(a, i) for i in range(len(a))], rtol=1e-12)
+    even = graph.is_even()
+    assert even.tolist() == [t % 2 == 0 for t, w in enumerate(widths) for _ in range(w)]
+    np.testing.assert_array_equal(graph.bipartite_block(), a[np.ix_(even, ~even)])
+    assert not a[np.ix_(even, even)].any() and not a[np.ix_(~even, ~even)].any()
+
+
+@pytest.mark.parametrize("widths", LAYER_WIDTHS, ids=str)
+def test_layered_ncut_matches_dense_oracle(widths):
+    rng = np.random.default_rng(10 + len(widths))
+    graph = random_layered(rng, widths, density=0.9)
+    a = graph.dense()
+    for k in (2, 3):
+        labels = random_partition(rng, a, k)
+        got = ncut(graph, labels, k)
+        assert got == pytest.approx(ncut(a, labels, k), rel=1e-10, abs=1e-12)
+        assert got == pytest.approx(naive_ncut(a, labels, k), rel=1e-10, abs=1e-12)
+
+
+def test_layered_ncut_rejects_what_dense_rejects():
+    graph = LayeredGraph((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="cluster 1 has zero volume"):
+        ncut(graph, np.array([0, 1, 0, 1]), 2)
+    with pytest.raises(ValueError, match="cluster 1 is empty"):
+        ncut(graph, np.array([0, 0, 0, 0]), 2)
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        ncut(graph, np.array([0, 1, 0]), 2)
+
+
+def test_subgraph_matches_dense_oracle_with_a_dead_layer():
+    rng = np.random.default_rng(20)
+    graph = random_layered(rng, (5, 4, 3, 4, 2))
+    keep = rng.random(graph.n_nodes) < 0.7
+    keep[9:12] = False  # the whole middle layer
+    sub = graph.subgraph(keep)
+    assert sub.widths[2] == 0
+    np.testing.assert_array_equal(sub.dense(), graph.dense()[np.ix_(keep, keep)])
+    # layers keep their places, so the parity of the nodes left does not change
+    np.testing.assert_array_equal(sub.is_even(), graph.is_even()[keep])
+    assert graph.subgraph(np.ones(graph.n_nodes, dtype=bool)) is graph

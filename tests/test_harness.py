@@ -380,6 +380,14 @@ def test_grid_whose_spearman_cells_all_fail_writes_no_spearman_table(tmp_path):
     assert not (tmp_path / "out" / "table_spearman.txt").exists()
 
 
+def test_grid_rejects_repeated_seed_before_any_work(smoke_data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    with pytest.raises(ValueError, match="seed 0 is repeated"):
+        run_grid(smoke_data_dir, tmp_path / "out", seeds=(0, 1, 0), datasets=("smoke",),
+                 layer_widths=SMOKE_WIDTHS)
+    assert not (tmp_path / "out").exists()
+
+
 def _fake_report(method, dataset, activation, dropout, seed, ncut_value, acc=90.0):
     return ExperimentReport(
         dataset=dataset,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mlpmod.graph import ncut
+from mlpmod.graph import LayeredGraph, ncut
 from mlpmod.spectral import (
     EIG_TOL,
     KMEANS_RESTARTS,
     EigensolverError,
     SpectralConfig,
+    bipartite_eigenvectors,
     cluster_graph,
     kmeans,
     kmeans_single,
@@ -15,7 +16,7 @@ from mlpmod.spectral import (
     smallest_eigenvectors,
 )
 
-from test_graph import naive_ncut, random_adjacency, triangle_union
+from test_graph import LAYER_WIDTHS, naive_ncut, random_adjacency, random_layered, triangle_union
 
 
 def planted_graph(rng, block_sizes, within=1.0, cross=0.01,
@@ -333,6 +334,129 @@ def _with_entry(i, j, value, mirror=True):
 def test_cluster_graph_rejects_invalid_adjacency(adjacency, fault):
     with pytest.raises(ValueError, match=fault):
         cluster_graph(adjacency, SpectralConfig(k=2, rng_seed=0))
+
+
+def _layered_with_entry(t, i, j, value):
+    blocks = [np.ones((3, 4)), np.ones((4, 2))]
+    blocks[t][i, j] = value
+    return LayeredGraph((3, 4, 2), blocks)
+
+
+@pytest.mark.parametrize(
+    "make_graph, fault",
+    [
+        pytest.param(lambda: _layered_with_entry(1, 2, 1, np.nan), "non-finite", id="nan"),
+        pytest.param(lambda: _layered_with_entry(0, 0, 3, np.inf), "non-finite", id="inf"),
+        pytest.param(lambda: _layered_with_entry(1, 0, 0, -1.0), "negative", id="negative"),
+        pytest.param(
+            lambda: LayeredGraph((3, 4, 2), [np.ones((3, 4)), np.ones((2, 4))]),
+            r"block 1 has shape \(2, 4\), expected \(4, 2\)",
+            id="block-shape",
+        ),
+    ],
+)
+def test_cluster_graph_rejects_invalid_layered_graph(make_graph, fault):
+    with pytest.raises(ValueError, match=fault):
+        cluster_graph(make_graph(), SpectralConfig(k=2, rng_seed=0))
+
+
+# ---------------------------------------------------------------------------
+# the bipartite path against the dense path
+
+def assert_block_path_matches_dense(graph, k, rng_seed=0):
+    """Same labels, and ncut, eigenvalues and k-means cost to 1e-10, on a
+    graph whose k-th and (k+1)-th eigenvalues differ: only then is the
+    k-dimensional eigenspace unique, so that both solvers must find it."""
+    sub = graph.subgraph(graph.degrees() > 0)
+    lap = normalized_laplacian(sub.dense())
+    spectrum = np.linalg.eigvalsh(lap)
+    assert spectrum[k] - spectrum[k - 1] > 1e-6, "test graph has no eigengap at k"
+    values, vectors = bipartite_eigenvectors(sub, k)
+    np.testing.assert_allclose(values, spectrum[:k], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lap @ vectors, vectors * values, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-10)
+    cfg = SpectralConfig(k=k, rng_seed=rng_seed)
+    block, dense = cluster_graph(graph, cfg), cluster_graph(graph.dense(), cfg)
+    np.testing.assert_array_equal(block.labels, dense.labels)
+    np.testing.assert_array_equal(block.dropped, dense.dropped)
+    assert block.ncut_value == pytest.approx(dense.ncut_value, rel=1e-10, abs=1e-12)
+    assert block.kmeans_cost == pytest.approx(dense.kmeans_cost, rel=1e-10, abs=1e-12)
+    return block
+
+
+@pytest.mark.parametrize("widths", LAYER_WIDTHS, ids=str)
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_path_matches_dense_on_random_layered_graphs(widths, k):
+    rng = np.random.default_rng(100 + 10 * len(widths) + k)
+    for trial in range(5):
+        assert_block_path_matches_dense(random_layered(rng, widths), k, rng_seed=trial)
+
+
+def _planted_layered(rng, widths, n_modules, cross=0.02):
+    modules = [rng.permutation(np.arange(w) % n_modules) for w in widths]
+    blocks = [
+        rng.uniform(0.5, 1.0, (len(ma), len(mb))) * np.where(ma[:, None] == mb, 1.0, cross)
+        for ma, mb in zip(modules, modules[1:])
+    ]
+    return LayeredGraph(widths, blocks), np.concatenate(modules)
+
+
+@pytest.mark.parametrize("widths", [(40, 16, 16, 16, 16, 8), (24, 12, 12, 8)], ids=str)
+def test_block_path_matches_dense_on_planted_modules(widths):
+    graph, truth = _planted_layered(np.random.default_rng(len(widths)), widths, 4)
+    result = assert_block_path_matches_dense(graph, 4)
+    assert same_partition(truth, result.labels)
+    assert result.ncut_value == pytest.approx(naive_ncut(graph.dense(), truth, 4), rel=1e-10)
+
+
+def test_block_path_matches_dense_with_dropped_nodes_and_a_dead_layer():
+    # a dead middle layer splits the graph in two components; k >= 3 keeps
+    # the k-means costs away from a tie at rounding level, where the winning
+    # restart and so the label names would be arbitrary
+    rng = np.random.default_rng(30)
+    widths = (12, 8, 6, 8, 10)
+    starts = np.cumsum((0,) + widths)
+    for dead_layer, k in ((None, 3), (None, 4), (0, 3), (2, 3), (2, 4)):
+        blocks = [b.copy() for b in random_layered(rng, widths, density=0.8).blocks]
+        blocks[0][[1, 5], :] = 0.0  # two input nodes lose every edge
+        blocks[-1][:, 4] = 0.0      # and so does one output node
+        if dead_layer is not None:
+            for t in (dead_layer - 1, dead_layer):
+                if 0 <= t < len(blocks):
+                    blocks[t][:] = 0.0
+        result = assert_block_path_matches_dense(LayeredGraph(widths, blocks), k)
+        assert result.labels[[1, 5, starts[-2] + 4]].tolist() == [-1, -1, -1]
+        if dead_layer is not None:
+            assert np.all(result.labels[starts[dead_layer] : starts[dead_layer + 1]] == -1)
+
+
+def test_block_path_with_k_above_the_smaller_side_matches_dense():
+    # even side: 3 + 2 nodes, odd side: 6; the 6 smallest eigenpairs need
+    # the null space of the scaled block
+    rng = np.random.default_rng(40)
+    graph = random_layered(rng, (3, 6, 2), density=1.0)
+    for k in (5, 6, 7):
+        assert_block_path_matches_dense(graph, k)
+
+
+def test_bipartite_residual_failure_carries_norms():
+    graph = random_layered(np.random.default_rng(50), (5, 4, 6), density=1.0)
+    with pytest.raises(EigensolverError, match="residuals") as err:
+        bipartite_eigenvectors(graph, 3, eig_tol=1e-18)
+    assert err.value.residuals.shape == (3,)
+
+
+def test_bipartite_eigenvectors_of_nan_block_raise():
+    graph = random_layered(np.random.default_rng(51), (20, 20, 20), density=1.0)
+    graph.blocks[1][2, 3] = np.nan
+    with pytest.raises(EigensolverError):
+        bipartite_eigenvectors(graph, 2)
+
+
+def test_bipartite_eigenvectors_reject_zero_degree():
+    graph = LayeredGraph((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="zero degree"):
+        bipartite_eigenvectors(graph, 1)
 
 
 def test_spectral_config_validation():
