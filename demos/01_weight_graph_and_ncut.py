@@ -2,7 +2,8 @@
 
 Builds the graph of a tiny 1-2-1 network by hand, then shows how the ncut
 of a partition reacts to where the boundary is drawn. The graph is held as
-its layer-pair blocks; ``.dense()`` gives the full adjacency matrix.
+a per-node parity mask and its even x odd block; ``.dense()`` gives the
+full adjacency matrix.
 """
 
 import numpy as np
@@ -15,11 +16,16 @@ weights = [
     np.array([[2.0], [-3.0]]),   # input -> hidden
     np.array([[0.5, 4.0]]),      # hidden -> output
 ]
-graph = build_weight_adjacency(weights, (1, 2, 1))  # one block per layer pair
+graph = build_weight_adjacency(weights, (1, 2, 1))
+# layers 0 and 2 are even and layer 1 is odd, so the block joins the input
+# and the output (its rows) to the two hidden units (its columns)
+print("even layer per node:", graph.even.tolist())
+print("even x odd block (rows: nodes 0 and 3, columns: nodes 1 and 2):")
+print(graph.block)
 adjacency = graph.dense()
 print("adjacency (|weight| on adjacent-layer edges, nodes 0..3):")
 print(adjacency)
-print("degrees from the blocks:", graph.degrees())
+print("degrees from the block:", graph.degrees())
 
 # partition A: input+hidden0 vs hidden1+output
 labels_a = np.array([0, 0, 1, 1])

@@ -2,7 +2,7 @@
 
 Three stories: perfectly separable components give ncut 0, planted blocks
 connected by weak edges are still recovered exactly, and a layered network
-graph is clustered from its layer-pair blocks alone, with the same result
+graph is clustered from its even x odd block alone, with the same result
 as its dense matrix.
 """
 
@@ -53,15 +53,16 @@ print(f"  planted-partition ncut = {ncut(planted, truth, 2):.6f}")
 
 # --- a layered network with two planted modules ---------------------------
 # edges join adjacent layers only, so the graph is bipartite (even layers
-# against odd ones) and cluster_graph takes its eigenvectors from an SVD of
-# one even x odd block instead of the whole n x n Laplacian
+# against odd ones): from_layers writes the layer-pair blocks into one even x
+# odd block, and cluster_graph takes its eigenvectors from an SVD of that
+# block instead of the whole n x n Laplacian
 widths = (12, 8, 8, 4)
 modules = [np.arange(w) % 2 for w in widths]
 blocks = [
     rng.uniform(0.5, 1.0, (a, b)) * np.where(ma[:, None] == mb[None, :], 1.0, 0.02)
     for a, b, ma, mb in zip(widths, widths[1:], modules, modules[1:])
 ]
-layered = LayeredGraph(widths, blocks)
+layered = LayeredGraph.from_layers(widths, blocks)
 from_blocks = cluster_graph(layered, SpectralConfig(k=2, rng_seed=0))
 from_dense = cluster_graph(layered.dense(), SpectralConfig(k=2, rng_seed=0))
 print(f"\nlayered {'-'.join(map(str, widths))} network, two planted modules:")
@@ -70,4 +71,4 @@ print("  modules recovered exactly:", all(
     len(set(from_blocks.labels[layered_truth == m])) == 1 for m in (0, 1)
 ))
 print("  same labels as the dense path:", np.array_equal(from_blocks.labels, from_dense.labels))
-print(f"  ncut from the blocks = {from_blocks.ncut_value:.6f}, dense = {from_dense.ncut_value:.6f}")
+print(f"  ncut from the block = {from_blocks.ncut_value:.6f}, dense = {from_dense.ncut_value:.6f}")

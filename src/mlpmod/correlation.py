@@ -117,10 +117,7 @@ def build_correlation_adjacency(table: np.ndarray, architecture) -> LayeredGraph
     if z.shape[1] < 2:
         raise ValueError("need at least two recorded examples")
     standardize_rank_rows(z)
-    return LayeredGraph(
-        widths,
-        tuple(
-            np.abs(z[starts[i] : starts[i + 1]] @ z[starts[i + 1] : starts[i + 2]].T)
-            for i in range(len(widths) - 1)
-        ),
-    )
+    return LayeredGraph.from_layers(widths, [
+        np.abs(z[starts[i] : starts[i + 1]] @ z[starts[i + 1] : starts[i + 2]].T)
+        for i in range(len(widths) - 1)
+    ])

@@ -4,9 +4,9 @@ partition scoring.
 Neurons of all layers (input and output included) are numbered
 consecutively: layer 0 first, then layer 1, and so on. Edges exist only
 between adjacent layers and carry the absolute trained weight; biases do
-not appear in the graph. Such a graph is held as a :class:`LayeredGraph`,
-one weight block per adjacent layer pair, and is bipartite: the even layers
-against the odd layers.
+not appear in the graph. Such a graph is bipartite, the even layers against
+the odd layers, and is held as a :class:`LayeredGraph`: a per-node parity
+mask and the one even x odd weight block.
 """
 
 from __future__ import annotations
@@ -39,108 +39,84 @@ def layer_starts(layer_widths: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LayeredGraph:
-    """A graph whose edges join adjacent layers only, held as its blocks.
+    """A graph whose edges join adjacent layers only, held as its even x odd
+    block.
 
-    ``blocks[t]`` has shape ``(widths[t], widths[t+1])``: rows in layer
-    ``t``, columns in layer ``t+1``. Nodes are numbered layer by layer. The
-    graph is symmetric with a zero diagonal by construction. A width may be
-    0, for a layer whose every node was left out by :meth:`subgraph`.
-    Construction checks the shapes; :func:`~mlpmod.spectral.cluster_graph`
-    checks the entries.
+    The boolean ``even[i]`` says whether node ``i`` lies in an even layer.
+    The float64 ``block[r, c]`` joins the ``r``-th even node to the ``c``-th
+    odd node, each side counted in node order, so with the even nodes first
+    the adjacency matrix is ``[[0, block], [block.T, 0]]``: symmetric with a
+    zero diagonal by construction. The builders go through
+    :meth:`from_layers`. Construction checks the shapes;
+    :func:`~mlpmod.spectral.cluster_graph` checks the entries.
     """
 
-    widths: tuple[int, ...]
-    blocks: tuple[np.ndarray, ...]
+    even: np.ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.widths)
+        expected = (np.count_nonzero(self.even), np.count_nonzero(~self.even))
+        if self.block.shape != expected:
+            raise ValueError(f"block has shape {self.block.shape}, expected {expected}")
+
+    @classmethod
+    def from_layers(cls, widths: Sequence[int], blocks: Sequence[np.ndarray]) -> LayeredGraph:
+        """The graph of layers of the given widths, numbered layer by layer.
+
+        ``blocks[t]`` has shape ``(widths[t], widths[t+1])``: rows in layer
+        ``t``, columns in layer ``t+1``.
+        """
+        widths = tuple(int(w) for w in widths)
         if len(widths) < 2 or min(widths) < 0:
             raise ValueError(f"need at least two nonnegative layer widths, got {widths}")
-        blocks = tuple(np.asarray(b, dtype=np.float64) for b in self.blocks)
         if len(blocks) != len(widths) - 1:
             raise ValueError(
                 f"expected {len(widths) - 1} blocks for {len(widths)} layers, got {len(blocks)}"
             )
-        for t, block in enumerate(blocks):
+        # on its own side, a layer follows the layers of its parity before it
+        side = [slice(sum(widths[t % 2 : t : 2]), sum(widths[t % 2 : t + 1 : 2]))
+                for t in range(len(widths))]
+        block = np.zeros((sum(widths[0::2]), sum(widths[1::2])))
+        for t, layer_block in enumerate(blocks):
             expected = (widths[t], widths[t + 1])
-            if block.shape != expected:
-                raise ValueError(f"block {t} has shape {block.shape}, expected {expected}")
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "blocks", blocks)
+            if np.shape(layer_block) != expected:
+                raise ValueError(f"block {t} has shape {np.shape(layer_block)}, expected {expected}")
+            if t % 2 == 0:
+                block[side[t], side[t + 1]] = layer_block
+            else:
+                block[side[t + 1], side[t]] = np.transpose(layer_block)
+        return cls(np.repeat(np.arange(len(widths)) % 2 == 0, widths), block)
 
     @property
     def n_nodes(self) -> int:
-        return sum(self.widths)
+        return self.even.size
 
     def degrees(self) -> np.ndarray:
-        """Each node's row sum in its own layer's block plus its column sum
-        in the previous layer's block."""
-        deg = [np.zeros(w) for w in self.widths]
-        for t, block in enumerate(self.blocks):
-            deg[t] += block.sum(axis=1)
-            deg[t + 1] += block.sum(axis=0)
-        return np.concatenate(deg)
-
-    def is_even(self) -> np.ndarray:
-        """Per node: True in an even layer, False in an odd one."""
-        return np.repeat(np.arange(len(self.widths)) % 2 == 0, self.widths)
+        """Row sums of ``block`` for the even nodes, column sums for the odd."""
+        deg = np.empty(self.n_nodes)
+        deg[self.even] = self.block.sum(axis=1)
+        deg[~self.even] = self.block.sum(axis=0)
+        return deg
 
     def subgraph(self, keep: np.ndarray) -> LayeredGraph:
-        """The graph on the nodes where the boolean ``keep`` is True.
-
-        Every layer keeps its place, so a layer left with no node has width
-        0 and the parity of the others does not change.
-        """
+        """The graph on the nodes where the boolean ``keep`` is True."""
         if keep.all():
             return self
-        masks = np.split(keep, np.cumsum(self.widths)[:-1])
-        return LayeredGraph(
-            tuple(int(m.sum()) for m in masks),
-            tuple(b[np.ix_(masks[t], masks[t + 1])] for t, b in enumerate(self.blocks)),
-        )
-
-    def bipartite_block(self) -> np.ndarray:
-        """The even x odd block ``B``, a new array.
-
-        ``B[i, j]`` joins the ``i``-th even-layer node to the ``j``-th
-        odd-layer node, each side counted in node order. With the even nodes
-        first, the adjacency matrix is ``[[0, B], [B.T, 0]]``.
-        """
-        offset, side = [], [0, 0]  # offset of each layer within its side
-        for t, width in enumerate(self.widths):
-            offset.append(side[t % 2])
-            side[t % 2] += width
-        b = np.zeros(side)
-        for t, block in enumerate(self.blocks):
-            here = slice(offset[t], offset[t] + self.widths[t])
-            there = slice(offset[t + 1], offset[t + 1] + self.widths[t + 1])
-            if t % 2 == 0:
-                b[here, there] = block
-            else:
-                b[there, here] = block.T
-        return b
+        return LayeredGraph(self.even[keep], self.block[np.ix_(keep[self.even], keep[~self.even])])
 
     def dense(self) -> np.ndarray:
         """The dense symmetric n x n adjacency matrix: the reference the
         block code is tested against, and the input of the dense path."""
-        starts = np.concatenate([[0], np.cumsum(self.widths)])
         adjacency = np.zeros((self.n_nodes, self.n_nodes))
-        for t, block in enumerate(self.blocks):
-            rows = slice(starts[t], starts[t + 1])
-            cols = slice(starts[t + 1], starts[t + 2])
-            adjacency[rows, cols] = block
-            adjacency[cols, rows] = block.T
+        adjacency[np.ix_(self.even, ~self.even)] = self.block
+        adjacency[np.ix_(~self.even, self.even)] = self.block.T
         return adjacency
 
     def within_weights(self, labels: np.ndarray, n_clusters: int) -> np.ndarray:
         """Total weight inside each cluster, both directions of every edge
         counted as in a dense adjacency's ``A[c, c].sum()``."""
         onehot = (labels[:, None] == np.arange(n_clusters)).astype(np.float64)
-        parts = np.split(onehot, np.cumsum(self.widths)[:-1])
-        within = np.zeros(n_clusters)
-        for t, block in enumerate(self.blocks):
-            within += (parts[t] * (block @ parts[t + 1])).sum(axis=0)
-        return 2.0 * within
+        return 2.0 * (onehot[self.even] * (self.block @ onehot[~self.even])).sum(axis=0)
 
 
 def build_weight_adjacency(
@@ -169,7 +145,7 @@ def build_weight_adjacency(
                 f"weight matrix {t} has shape {w.shape}, expected {expected}"
             )
         blocks.append(np.abs(w).T)  # rows: layer t, cols: layer t+1
-    return LayeredGraph(widths, tuple(blocks))
+    return LayeredGraph.from_layers(widths, blocks)
 
 
 def degree(adjacency: np.ndarray, node: int) -> float:

@@ -197,7 +197,7 @@ def _json_bytes(obj) -> bytes:
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """Hash of everything that determines the trained model."""
     payload = json.dumps(
-        {"dataset": cfg.dataset, **asdict(cfg.architecture), "train": asdict(cfg.train)},
+        {"dataset": cfg.dataset, **asdict(cfg.architecture), "train": cfg.train.to_dict()},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -259,7 +259,9 @@ def _analyze_model(
     The caller has passed ``method`` and ``test_set`` through
     ``_check_test_split``. Test accuracy is measured whenever ``test_set``
     is given; under spearman it comes from the logits of the activation
-    table, so each method runs the test set through the model once.
+    table, so each method runs the test set through the model once. A
+    ``spectral.k`` above the graph's positive count of nodes of nonzero
+    degree raises ``DataError`` naming both.
     """
     arch = model.architecture
     accuracy = None
@@ -275,6 +277,13 @@ def _analyze_model(
     if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
             accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
+    # more clusters than nodes of nonzero degree is a data error; a graph with
+    # no edge at all is degenerate, and cluster_graph fails on it
+    n_kept = np.count_nonzero(graph.degrees())
+    if 0 < n_kept < spectral.k:
+        raise DataError(
+            f"k={spectral.k} exceeds the {n_kept} nodes of nonzero degree in the {method} graph"
+        )
     with _stage("cluster", wall_times):
         result = cluster_graph(graph, spectral)
     sizes = result.cluster_sizes().tolist()
@@ -369,7 +378,7 @@ def run_experiment(
         dataset=cfg.dataset,
         seed=cfg.train.rng_seed,
         checkpoint=ckpt_path.name,
-        train_config=asdict(cfg.train),
+        train_config=cfg.train.to_dict(),
     )
     report.write_json(out_dir / "reports" / report_filename(cfg))
     return report

@@ -16,7 +16,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,11 @@ ACTIVATIONS = ("relu", "sigmoid")
 
 # 28x28 images, four hidden layers of 256, ten classes
 DEFAULT_LAYER_WIDTHS = (784, 256, 256, 256, 256, 10)
+
+# fixed Adam settings of every training run (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -109,11 +114,7 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 128
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     rng_seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -122,10 +123,16 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+
+    def to_dict(self) -> dict:
+        """These fields plus the fixed Adam settings and the per-epoch
+        shuffle, as reports and checkpoint fingerprints record them."""
+        return dict(
+            asdict(self), beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
+            shuffle_each_epoch=True,
+        )
 
 
 def init_model(
@@ -317,11 +324,9 @@ def adam_step(
     grads: np.ndarray,
     state: AdamState,
     learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam update with bias-corrected moments.
+    """One in-place Adam update with bias-corrected moments, with betas
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and epsilon ``ADAM_EPS``.
 
     Uses the efficient form of Kingma & Ba (arXiv 1412.6980, Sec. 2): the
     bias corrections fold into the step size ``alpha_t`` and the epsilon
@@ -333,15 +338,15 @@ def adam_step(
         )
     state.t += 1
     t = state.t
-    root_correction2 = np.sqrt(1 - beta2**t)
-    alpha_t = learning_rate * root_correction2 / (1 - beta1**t)
-    eps_hat = eps * root_correction2
+    root_correction2 = np.sqrt(1 - ADAM_BETA2**t)
+    alpha_t = learning_rate * root_correction2 / (1 - ADAM_BETA1**t)
+    eps_hat = ADAM_EPS * root_correction2
     g, m, v, s = grads, state.m, state.v, state.scratch
-    m *= beta1
-    np.multiply(g, 1 - beta1, out=s)
+    m *= ADAM_BETA1
+    np.multiply(g, 1 - ADAM_BETA1, out=s)
     m += s
-    v *= beta2
-    np.multiply(g, 1 - beta2, out=s)
+    v *= ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=s)
     s *= g
     v += s
     np.sqrt(v, out=s)
@@ -352,7 +357,8 @@ def adam_step(
 
 
 def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
-    """Train a model of ``arch`` on ``train_set`` (images and labels).
+    """Train a model of ``arch`` on ``train_set`` (images and labels),
+    shuffling the examples every epoch.
 
     Fully deterministic for a fixed ``cfg.rng_seed``. Raises
     :class:`TrainingDivergedError` if the loss ever becomes non-finite.
@@ -364,7 +370,7 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
     x, y = train_set.images, train_set.labels
     n = x.shape[0]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+        order = rng.permutation(n)
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start : start + cfg.batch_size]
             masks = (
@@ -377,15 +383,7 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch}, step {step}"
                 )
-            adam_step(
-                model.params,
-                grads,
-                state,
-                learning_rate=cfg.learning_rate,
-                beta1=cfg.beta1,
-                beta2=cfg.beta2,
-                eps=cfg.eps,
-            )
+            adam_step(model.params, grads, state, learning_rate=cfg.learning_rate)
     return model
 
 

@@ -71,8 +71,9 @@ class ClusteringResult:
 
     ``labels`` has one entry per node of the input graph: a cluster id in
     ``0..n_clusters-1``, or -1 for nodes that were dropped because they had
-    zero degree. ``ncut_value`` is the normalized cut of the partition on the
-    kept subgraph.
+    zero degree, numbered in the order of their lowest kept node.
+    ``ncut_value`` is the normalized cut of the partition on the kept
+    subgraph.
     """
 
     labels: np.ndarray
@@ -139,13 +140,13 @@ def bipartite_eigenvectors(
     smallest eigenvalues, without forming the n x n matrix.
 
     With ``B~ = D_e^{-1/2} B D_o^{-1/2}`` the degree-scaled even x odd block
-    (:meth:`~mlpmod.graph.LayeredGraph.bipartite_block`), the Laplacian is
-    ``I - [[0, B~], [B~^T, 0]]``, so each singular triplet ``(s, u, v)`` of
-    ``B~`` gives the eigenvalue ``1 - s`` with eigenvector ``[u; v] / sqrt(2)``
-    (Dhillon, KDD 2001), put back in node order. When ``n_vectors`` exceeds
-    the smaller side, the null space of ``B~`` holds wanted eigenvectors
-    that the thin SVD does not return, and the dense Laplacian of
-    ``graph.dense()`` goes through :func:`smallest_eigenvectors` instead.
+    ``B = graph.block``, the Laplacian is ``I - [[0, B~], [B~^T, 0]]``, so
+    each singular triplet ``(s, u, v)`` of ``B~`` gives the eigenvalue
+    ``1 - s`` with eigenvector ``[u; v] / sqrt(2)`` (Dhillon, KDD 2001), put
+    back in node order. When ``n_vectors`` exceeds the smaller side, the
+    null space of ``B~`` holds wanted eigenvectors that the thin SVD does
+    not return, and the dense Laplacian of ``graph.dense()`` goes through
+    :func:`smallest_eigenvectors` instead.
 
     Every node must have positive degree. The checks are those of
     :func:`smallest_eigenvectors`, in block form: each pair's residual
@@ -156,14 +157,13 @@ def bipartite_eigenvectors(
     deg = graph.degrees()
     if np.any(deg <= 0):
         raise ValueError(f"nodes with zero degree: {np.flatnonzero(deg <= 0).tolist()[:10]}")
-    even = graph.is_even()
+    even = graph.even
     if not 1 <= n_vectors <= deg.size:
         raise ValueError(f"need 1 <= n_vectors <= {deg.size}, got {n_vectors}")
-    if n_vectors > min(even.sum(), deg.size - even.sum()):
+    if n_vectors > min(graph.block.shape):
         return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors, eig_tol)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    b = graph.bipartite_block()
-    b *= inv_sqrt[even][:, None]
+    b = inv_sqrt[even][:, None] * graph.block
     b *= inv_sqrt[~even]
     try:
         u, sigma, vt = np.linalg.svd(b, full_matrices=False)
@@ -274,17 +274,20 @@ def kmeans(
 ) -> tuple[np.ndarray, float]:
     """Best of ``KMEANS_RESTARTS`` k-means runs; deterministic for a fixed seed.
 
-    The restart with the lowest within-cluster sum of squared distances wins;
-    cost ties go to the earliest restart.
+    The restart with the lowest within-cluster sum of squared distances wins,
+    unless an earlier one is within 1e-12 relative of its cost. Clusters are
+    numbered in the order of their first point.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     best_labels, best_cost = None, np.inf
     for _ in range(KMEANS_RESTARTS):
         labels, _, cost = kmeans_single(points, n_clusters, rng)
-        if cost < best_cost:
+        if cost < best_cost * (1 - 1e-12):
             best_labels, best_cost = labels, cost
-    return best_labels, float(best_cost)
+    # rank the clusters by their first point; kmeans_single leaves none empty
+    first = np.unique(best_labels, return_index=True)[1]
+    return np.argsort(np.argsort(first))[best_labels], float(best_cost)
 
 
 def _check_entries(a: np.ndarray) -> None:
@@ -301,8 +304,8 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
 
     ``graph`` is a :class:`~mlpmod.graph.LayeredGraph`, as the builders
     return, or a dense adjacency matrix, and its type picks the path. It is
-    checked once, and a fault raises ``ValueError`` naming it: each block of
-    a ``LayeredGraph``, or the whole dense matrix, must hold finite,
+    checked once, and a fault raises ``ValueError`` naming it: the even x odd
+    block of a ``LayeredGraph``, or the whole dense matrix, must hold finite,
     nonnegative entries, and a dense matrix must also be square and
     symmetric to within 1e-12 (a ``LayeredGraph`` is symmetric by
     construction). Zero-degree nodes are removed up front and reported via
@@ -313,8 +316,7 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
     scored with the exact normalized cut.
     """
     if isinstance(graph, LayeredGraph):
-        for block in graph.blocks:
-            _check_entries(block)
+        _check_entries(graph.block)
         deg = graph.degrees()
     else:
         a = np.asarray(graph, dtype=np.float64)

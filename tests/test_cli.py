@@ -95,6 +95,22 @@ def test_degenerate_checkpoint_exit_code_3(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "method, k, n_kept",
+    # 810 nodes; under spearman 5 constant pixels of the smoke split drop out
+    [("weights", 900, 810), ("spearman", 808, 805)],
+)
+def test_k_above_the_kept_nodes_is_data_error(smoke_data_dir, tmp_path, method, k, n_kept):
+    ckpt = tmp_path / "small.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 8, 10)), 0), ckpt)
+    proc = run_cli(
+        "analyze", "--checkpoint", str(ckpt), "--method", method, "--k", str(k),
+        "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"data error: k={k} exceeds the {n_kept} nodes" in proc.stderr
+
+
 def test_non_finite_checkpoint_is_data_error(tmp_path):
     model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0)
     model.weights[0][0, 0] = np.nan

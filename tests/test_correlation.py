@@ -329,5 +329,5 @@ def test_accepts_architecture_object():
     arch = MlpArchitecture(layer_widths=(2, 3, 2))
     table = rng.standard_normal((7, 8))
     a = build_correlation_adjacency(table, arch)
-    assert a.widths == (2, 3, 2)
+    assert a.even.tolist() == [True] * 2 + [False] * 3 + [True] * 2
     assert a.dense().shape == (7, 7)

@@ -81,12 +81,17 @@ def assert_layered_adjacency(a, widths):
     assert not off_block.any(), "nonzero entries outside adjacent-layer blocks"
 
 
-def random_layered(rng, widths, density=0.7):
-    """A LayeredGraph with random nonnegative blocks of the given widths."""
-    return LayeredGraph(widths, [
+def random_blocks(rng, widths, density=0.7):
+    """Random nonnegative layer-pair blocks of the given widths."""
+    return [
         rng.random((a, b)) * (rng.random((a, b)) < density)
         for a, b in zip(widths, widths[1:])
-    ])
+    ]
+
+
+def random_layered(rng, widths, density=0.7):
+    """A LayeredGraph with random nonnegative blocks of the given widths."""
+    return LayeredGraph.from_layers(widths, random_blocks(rng, widths, density))
 
 
 def path_graph(n):
@@ -337,28 +342,29 @@ LAYER_WIDTHS = [(3, 5), (4, 3, 6), (5, 3, 4, 3), (3, 6, 1, 5, 3), (7, 4, 4, 4, 4
 
 def test_layered_graph_rejects_bad_shapes():
     with pytest.raises(ValueError, match=r"block 1 has shape \(3, 2\), expected \(2, 3\)"):
-        LayeredGraph((1, 2, 3), [np.ones((1, 2)), np.ones((3, 2))])
+        LayeredGraph.from_layers((1, 2, 3), [np.ones((1, 2)), np.ones((3, 2))])
     with pytest.raises(ValueError, match="expected 2 blocks for 3 layers, got 1"):
-        LayeredGraph((1, 2, 3), [np.ones((1, 2))])
+        LayeredGraph.from_layers((1, 2, 3), [np.ones((1, 2))])
     with pytest.raises(ValueError, match="at least two nonnegative layer widths"):
-        LayeredGraph((4,), [])
+        LayeredGraph.from_layers((4,), [])
     with pytest.raises(ValueError, match="at least two nonnegative layer widths"):
-        LayeredGraph((2, -1), [np.ones((2, 0))])
+        LayeredGraph.from_layers((2, -1), [np.ones((2, 0))])
 
 
 @pytest.mark.parametrize("widths", LAYER_WIDTHS, ids=str)
 def test_layered_graph_matches_dense_oracle(widths):
     rng = np.random.default_rng(len(widths))
-    graph = random_layered(rng, widths)
+    blocks = random_blocks(rng, widths)
+    graph = LayeredGraph.from_layers(widths, blocks)
     a = graph.dense()
     assert_layered_adjacency(a, widths)
     starts = layer_starts(widths)
-    for t, block in enumerate(graph.blocks):
+    for t, block in enumerate(blocks):
         np.testing.assert_array_equal(a[starts[t] : starts[t + 1], starts[t + 1] : starts[t + 2]], block)
     np.testing.assert_allclose(graph.degrees(), [naive_degree(a, i) for i in range(len(a))], rtol=1e-12)
-    even = graph.is_even()
+    even = graph.even
     assert even.tolist() == [t % 2 == 0 for t, w in enumerate(widths) for _ in range(w)]
-    np.testing.assert_array_equal(graph.bipartite_block(), a[np.ix_(even, ~even)])
+    np.testing.assert_array_equal(graph.block, a[np.ix_(even, ~even)])
     assert not a[np.ix_(even, even)].any() and not a[np.ix_(~even, ~even)].any()
 
 
@@ -375,7 +381,7 @@ def test_layered_ncut_matches_dense_oracle(widths):
 
 
 def test_layered_ncut_rejects_what_dense_rejects():
-    graph = LayeredGraph((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
+    graph = LayeredGraph.from_layers((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="cluster 1 has zero volume"):
         ncut(graph, np.array([0, 1, 0, 1]), 2)
     with pytest.raises(ValueError, match="cluster 1 is empty"):
@@ -390,8 +396,8 @@ def test_subgraph_matches_dense_oracle_with_a_dead_layer():
     keep = rng.random(graph.n_nodes) < 0.7
     keep[9:12] = False  # the whole middle layer
     sub = graph.subgraph(keep)
-    assert sub.widths[2] == 0
+    assert sub.n_nodes == keep.sum()
     np.testing.assert_array_equal(sub.dense(), graph.dense()[np.ix_(keep, keep)])
-    # layers keep their places, so the parity of the nodes left does not change
-    np.testing.assert_array_equal(sub.is_even(), graph.is_even()[keep])
+    # the parity of the nodes left does not change with the dead layer gone
+    np.testing.assert_array_equal(sub.even, graph.even[keep])
     assert graph.subgraph(np.ones(graph.n_nodes, dtype=bool)) is graph

@@ -48,6 +48,11 @@ def test_smoke_experiment_end_to_end(smoke_data_dir, tmp_path):
         "k": 4, "rng_seed": 0, "kmeans_restarts": 10, "kmeans_max_iters": 300,
         "kmeans_tol": 1e-8, "eig_tol": 1e-9,
     }
+    # and so are the fixed Adam settings and the per-epoch shuffle
+    assert report.train_config == {
+        "epochs": 1, "batch_size": 128, "learning_rate": 1e-3, "rng_seed": 0,
+        "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "shuffle_each_epoch": True,
+    }
     json_path = tmp_path / "reports" / report_filename(smoke_config("weights"))
     assert json_path.is_file()
     round_trip = ExperimentReport.read_json(json_path)

@@ -474,6 +474,4 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mlpmod.spectral
 from mlpmod.graph import LayeredGraph, ncut
 from mlpmod.spectral import (
     EIG_TOL,
@@ -16,7 +17,9 @@ from mlpmod.spectral import (
     smallest_eigenvectors,
 )
 
-from test_graph import LAYER_WIDTHS, naive_ncut, random_adjacency, random_layered, triangle_union
+from test_graph import (
+    LAYER_WIDTHS, naive_ncut, random_adjacency, random_blocks, random_layered, triangle_union,
+)
 
 
 def planted_graph(rng, block_sizes, within=1.0, cross=0.01,
@@ -226,6 +229,30 @@ def test_kmeans_too_few_points():
         kmeans(np.zeros((2, 2)), 3, rng=0)
 
 
+def test_kmeans_numbers_clusters_by_their_first_point():
+    rng = np.random.default_rng(7)
+    centers = np.array([[5.0, 5.0], [-5.0, 5.0], [0.0, -5.0]])
+    points = centers[rng.integers(0, 3, size=60)] + 0.1 * rng.standard_normal((60, 2))
+    for seed in range(5):
+        labels, _ = kmeans(points, 3, rng=seed)
+        _, first = np.unique(labels, return_index=True)
+        assert np.all(np.diff(first) > 0) and first[0] == 0
+
+
+def test_kmeans_keeps_the_earliest_restart_within_rounding(monkeypatch):
+    # restart 2 beats restart 0 by more than 1e-12 relative; restarts 1 and 3
+    # undercut the best cost so far at rounding level only
+    costs = iter([1.0, 1.0 - 1e-14, 0.5, 0.5 * (1 - 1e-13)] + [0.7] * (KMEANS_RESTARTS - 4))
+
+    def scripted_restart(points, k, rng):
+        return np.array([1, 0, 0]), None, next(costs)
+
+    monkeypatch.setattr(mlpmod.spectral, "kmeans_single", scripted_restart)
+    labels, cost = kmeans(np.zeros((3, 1)), 2, rng=0)
+    assert cost == 0.5
+    np.testing.assert_array_equal(labels, [0, 1, 1])
+
+
 def test_kmeans_deterministic_and_monotone():
     rng = np.random.default_rng(4)
     for trial in range(25):
@@ -339,7 +366,7 @@ def test_cluster_graph_rejects_invalid_adjacency(adjacency, fault):
 def _layered_with_entry(t, i, j, value):
     blocks = [np.ones((3, 4)), np.ones((4, 2))]
     blocks[t][i, j] = value
-    return LayeredGraph((3, 4, 2), blocks)
+    return LayeredGraph.from_layers((3, 4, 2), blocks)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +376,7 @@ def _layered_with_entry(t, i, j, value):
         pytest.param(lambda: _layered_with_entry(0, 0, 3, np.inf), "non-finite", id="inf"),
         pytest.param(lambda: _layered_with_entry(1, 0, 0, -1.0), "negative", id="negative"),
         pytest.param(
-            lambda: LayeredGraph((3, 4, 2), [np.ones((3, 4)), np.ones((2, 4))]),
+            lambda: LayeredGraph.from_layers((3, 4, 2), [np.ones((3, 4)), np.ones((2, 4))]),
             r"block 1 has shape \(2, 4\), expected \(4, 2\)",
             id="block-shape",
         ),
@@ -398,7 +425,7 @@ def _planted_layered(rng, widths, n_modules, cross=0.02):
         rng.uniform(0.5, 1.0, (len(ma), len(mb))) * np.where(ma[:, None] == mb, 1.0, cross)
         for ma, mb in zip(modules, modules[1:])
     ]
-    return LayeredGraph(widths, blocks), np.concatenate(modules)
+    return LayeredGraph.from_layers(widths, blocks), np.concatenate(modules)
 
 
 @pytest.mark.parametrize("widths", [(40, 16, 16, 16, 16, 8), (24, 12, 12, 8)], ids=str)
@@ -410,21 +437,21 @@ def test_block_path_matches_dense_on_planted_modules(widths):
 
 
 def test_block_path_matches_dense_with_dropped_nodes_and_a_dead_layer():
-    # a dead middle layer splits the graph in two components; k >= 3 keeps
-    # the k-means costs away from a tie at rounding level, where the winning
-    # restart and so the label names would be arbitrary
+    # a dead middle layer splits the graph in two components; at k=2 every
+    # k-means restart finds them, with costs apart at rounding level only,
+    # and the canonical labels still name them alike on both paths
     rng = np.random.default_rng(30)
     widths = (12, 8, 6, 8, 10)
     starts = np.cumsum((0,) + widths)
-    for dead_layer, k in ((None, 3), (None, 4), (0, 3), (2, 3), (2, 4)):
-        blocks = [b.copy() for b in random_layered(rng, widths, density=0.8).blocks]
+    for dead_layer, k in ((None, 3), (None, 4), (0, 3), (2, 3), (2, 4), (2, 2)):
+        blocks = random_blocks(rng, widths, density=0.8)
         blocks[0][[1, 5], :] = 0.0  # two input nodes lose every edge
         blocks[-1][:, 4] = 0.0      # and so does one output node
         if dead_layer is not None:
             for t in (dead_layer - 1, dead_layer):
                 if 0 <= t < len(blocks):
                     blocks[t][:] = 0.0
-        result = assert_block_path_matches_dense(LayeredGraph(widths, blocks), k)
+        result = assert_block_path_matches_dense(LayeredGraph.from_layers(widths, blocks), k)
         assert result.labels[[1, 5, starts[-2] + 4]].tolist() == [-1, -1, -1]
         if dead_layer is not None:
             assert np.all(result.labels[starts[dead_layer] : starts[dead_layer + 1]] == -1)
@@ -448,13 +475,13 @@ def test_bipartite_residual_failure_carries_norms():
 
 def test_bipartite_eigenvectors_of_nan_block_raise():
     graph = random_layered(np.random.default_rng(51), (20, 20, 20), density=1.0)
-    graph.blocks[1][2, 3] = np.nan
+    graph.block[23, 2] = np.nan  # layer 1 node 2 to layer 2 node 3
     with pytest.raises(EigensolverError):
         bipartite_eigenvectors(graph, 2)
 
 
 def test_bipartite_eigenvectors_reject_zero_degree():
-    graph = LayeredGraph((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
+    graph = LayeredGraph.from_layers((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="zero degree"):
         bipartite_eigenvectors(graph, 1)
 
