@@ -16,12 +16,13 @@ The parameters are a model's ``params`` buffer, written as is.
 Loading rejects non-finite parameters. Round-trips are bit-exact. Writes go
 through :func:`write_atomic`, which every output file of the package shares,
 so an interrupted write never leaves a truncated checkpoint at the target
-path.
+path; :func:`write_json` is the one JSON writer on top of it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import struct
 from pathlib import Path
@@ -37,6 +38,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_atomic",
+    "write_json",
 ]
 
 MAGIC = b"MLPC"
@@ -77,6 +79,11 @@ def write_atomic(path, data: bytes) -> None:
         with contextlib.suppress(OSError):  # the first failure is the one to report
             tmp.unlink()
         raise
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys through :func:`write_atomic`."""
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _unpack(fmt: str, data: bytes, offset: int, path) -> tuple:

@@ -7,12 +7,11 @@ Subcommands: ``train``, ``analyze``, ``grid``, ``report``. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError, save_checkpoint, write_atomic
+from .checkpoint import CheckpointError, save_checkpoint, write_json
 from .data import KNOWN_DATASETS, DataError, load_dataset, load_splits
 from .harness import (
     METHODS,
@@ -110,10 +109,7 @@ def _cmd_train(args) -> int:
         "test_accuracy_percent": 100.0 * accuracy,
         "checkpoint": ckpt.name,
     }
-    write_atomic(
-        out_dir / (ckpt.stem + ".json"),
-        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode(),
-    )
+    write_json(out_dir / (ckpt.stem + ".json"), summary)
     print(f"wrote {ckpt}")
     print(f"test accuracy: {100.0 * accuracy:.2f}%")
     return EXIT_OK

@@ -10,6 +10,7 @@ contributes weight 0 by convention.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -91,27 +92,26 @@ def _standardize_ranks(x: np.ndarray) -> None:
     x[position] = np.repeat(twice_centered * 0.5 / norm, sizes)
 
 
-def build_correlation_adjacency(table: np.ndarray, architecture) -> LayeredGraph:
+def build_correlation_adjacency(table: np.ndarray, layer_widths: Sequence[int]) -> LayeredGraph:
     """The network graph with |Spearman correlation| edge weights, as a
     :class:`~mlpmod.graph.LayeredGraph`; ``.dense()`` gives the n x n matrix.
 
     ``table`` is an (N, m) activation table, as ``record_activations``
     writes it: one row per neuron in the graph's numbering, one column per
-    recorded example. ``architecture`` is an ``MlpArchitecture`` or a plain
-    sequence of layer widths. Every adjacent-layer neuron pair is an edge of
-    the underlying MLP, so each layer-pair block is one matrix product of
-    standardized rank rows.
+    recorded example, for layers of the given widths. Every adjacent-layer
+    neuron pair is an edge of the underlying MLP, so each layer-pair block is
+    one matrix product of standardized rank rows.
 
     The table is ranked in place: a C-contiguous float64 ``table`` is
     overwritten with its standardized ranks. A table of another layout or
     dtype is copied first and left as it was.
     """
-    widths = tuple(getattr(architecture, "layer_widths", architecture))
+    widths = tuple(layer_widths)
     starts = layer_starts(widths)
     z = np.ascontiguousarray(table, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != starts[-1]:
         raise ValueError(
-            f"activation table has shape {z.shape}; architecture implies "
+            f"activation table has shape {z.shape}; the layer widths imply "
             f"{starts[-1]} neuron rows"
         )
     if z.shape[1] < 2:

@@ -180,9 +180,7 @@ def cut_weight(adjacency: np.ndarray, left: Iterable[int], right: Iterable[int])
     return float(adjacency[np.ix_(li, ri)].sum())
 
 
-def ncut(
-    graph: LayeredGraph | np.ndarray, labels: np.ndarray, n_clusters: int | None = None
-) -> float:
+def ncut(graph: LayeredGraph | np.ndarray, labels: np.ndarray, n_clusters: int) -> float:
     """Normalized cut of the partition given by ``labels``.
 
     ``graph`` is a :class:`LayeredGraph`, whose volumes and within-cluster
@@ -199,7 +197,7 @@ def ncut(
         n = a.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    k = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
+    k = int(n_clusters)
     if k < 1 or labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in 0..{k - 1}")
     if isinstance(graph, LayeredGraph):

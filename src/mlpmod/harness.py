@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic, write_json
 from .correlation import build_correlation_adjacency
 from .data import DataError, LabeledImageSet, load_dataset
 from .graph import build_weight_adjacency
@@ -148,7 +148,7 @@ class ExperimentReport:
         return asdict(self)
 
     def write_json(self, path) -> None:
-        write_atomic(path, _json_bytes(self.to_dict()))
+        write_json(path, self.to_dict())
 
     @classmethod
     def read_json(cls, path) -> "ExperimentReport":
@@ -190,10 +190,6 @@ def _is_json_type(value, annotation: str) -> bool:
     return isinstance(value, allowed) and (bool in allowed or not isinstance(value, bool))
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-
-
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """Hash of everything that determines the trained model."""
     payload = json.dumps(
@@ -219,29 +215,41 @@ def report_filename(cfg: ExperimentConfig) -> str:
     return f"report_{'_'.join(_cell_parts(cfg))}_{cfg.method}_seed{cfg.train.rng_seed}.json"
 
 
-def _check_test_split(method: str, test_set: LabeledImageSet | None, n_inputs: int) -> None:
+def _check_split(split: LabeledImageSet, name: str, use: str, needed: int, widths: tuple) -> None:
+    """Raise ``DataError`` naming the ``name`` split unless it has at least
+    ``needed`` examples for ``use``, images as wide as the input layer of a
+    model of layer ``widths`` and every label below the width of its output
+    layer."""
+    if len(split) < needed:
+        raise DataError(
+            f"the {name} split has {len(split)} example(s); {use} needs at least {needed}"
+        )
+    if split.images.shape[1] != widths[0]:
+        raise DataError(
+            f"{name} images have {split.images.shape[1]} pixels but the "
+            f"model's input layer has {widths[0]} neurons"
+        )
+    if split.labels.max() >= widths[-1]:
+        raise DataError(
+            f"the {name} split has label {split.labels.max()} but the model's output "
+            f"layer has {widths[-1]} neurons"
+        )
+
+
+def _check_test_split(method: str, test_set: LabeledImageSet | None, widths: tuple) -> None:
     """Raise unless ``test_set`` can be analysed under ``method`` by a model
-    with ``n_inputs`` input neurons.
+    of layer ``widths``.
 
     The method must be known and the spearman method needs a split
-    (``ValueError``); a given split needs at least 1 example, 2 under
-    spearman, and images ``n_inputs`` pixels wide (``DataError``).
+    (``ValueError``); a given split must pass ``_check_split`` with at
+    least 1 example, 2 under spearman (``DataError``).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    needed = 2 if method == "spearman" else 1
-    if test_set is None:
-        if method == "spearman":
-            raise ValueError("the spearman method requires the test split")
-    elif len(test_set) < needed:
-        raise DataError(
-            f"the test split has {len(test_set)} example(s); {method} needs at least {needed}"
-        )
-    elif test_set.images.shape[1] != n_inputs:
-        raise DataError(
-            f"test images have {test_set.images.shape[1]} pixels but the "
-            f"model's input layer has {n_inputs} neurons"
-        )
+    if test_set is not None:
+        _check_split(test_set, "test", method, 2 if method == "spearman" else 1, widths)
+    elif method == "spearman":
+        raise ValueError("the spearman method requires the test split")
 
 
 def _analyze_model(
@@ -272,7 +280,7 @@ def _analyze_model(
             table = record_activations(model, test_set.images)
             # read before the graph build ranks the table in place
             accuracy = logit_accuracy(table[-arch.n_classes :].T, test_set.labels)
-            graph = build_correlation_adjacency(table, arch)
+            graph = build_correlation_adjacency(table, arch.layer_widths)
             del table  # n_neurons x m floats, dead once ranked: free before clustering
     if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
@@ -301,7 +309,7 @@ def _analyze_model(
         ncut=float(result.ncut_value),
         cluster_sizes=sizes,
         layer_cluster_counts=layer_counts.tolist(),
-        dropped_nodes=int(result.dropped.size),
+        dropped_nodes=int(np.count_nonzero(~kept)),
         kmeans_cost=float(result.kmeans_cost),
         off_protocol_k=spectral.k != 4,  # the paper clusters into 4
         spectral_config=spectral.to_dict(),
@@ -338,12 +346,13 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment end to end and persist its artifacts.
 
-    Both splits are checked before any training: an empty training split or
-    a test split ``_check_test_split`` rejects raises ``DataError``. Trains
-    the model unless a checkpoint for the same config fingerprint already
-    exists under ``out_dir/checkpoints``; a corrupt or mismatched cached
-    checkpoint is retrained and overwritten. Writes the report JSON to
-    ``out_dir/reports``. Deterministic for fixed seeds.
+    Both splits are checked before any training: a training split that
+    ``_check_split`` rejects, or a test split that ``_check_test_split``
+    rejects, raises ``DataError``. Trains the model unless a checkpoint for
+    the same config fingerprint already exists under ``out_dir/checkpoints``;
+    a corrupt or mismatched cached checkpoint is retrained and overwritten.
+    Writes the report JSON to ``out_dir/reports``. Deterministic for fixed
+    seeds.
     """
     out_dir = Path(out_dir)
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -358,9 +367,8 @@ def run_experiment(
             dataset = load_dataset(cfg.dataset, data_dir)
             if dataset_cache is not None:
                 dataset_cache[key] = dataset
-    if len(dataset.train) == 0:
-        raise DataError("the training split has 0 example(s); training needs at least 1")
-    _check_test_split(cfg.method, dataset.test, cfg.layer_widths[0])
+    _check_split(dataset.train, "training", "training", 1, cfg.layer_widths)
+    _check_test_split(cfg.method, dataset.test, cfg.layer_widths)
 
     ckpt_path = out_dir / "checkpoints" / checkpoint_filename(cfg)
     with _stage("train-or-load", wall_times):
@@ -394,13 +402,13 @@ def analyze_checkpoint(
 
     The weights method needs no data; the spearman method requires the test
     split the activations are recorded over. Test accuracy is filled in
-    whenever a test set is supplied, whose image width must match the
-    model's input layer (``DataError`` otherwise).
+    whenever a test set is supplied, whose image width and labels must fit
+    the model's input and output layers (``DataError`` otherwise).
     """
     wall_times: dict = {}
     with _stage("load-checkpoint", wall_times):
         model = load_checkpoint(checkpoint_path)
-    _check_test_split(method, test_set, model.architecture.layer_widths[0])
+    _check_test_split(method, test_set, model.architecture.layer_widths)
     return _analyze_model(
         model,
         method,
@@ -468,7 +476,7 @@ def run_grid(
     summary = ordering_summary(reports)
     summary["failures"] = failures
     summary["seeds"] = list(seeds)
-    write_atomic(out_dir / "grid_summary.json", _json_bytes(summary))
+    write_json(out_dir / "grid_summary.json", summary)
     return GridResult(reports=reports, failures=failures, tables=tables, summary=summary)
 
 

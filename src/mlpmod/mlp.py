@@ -11,7 +11,8 @@ Conventions used throughout:
 * dropout is inverted (mask then scale by ``1/(1-p)``) and applies to hidden
   layers only, so evaluation uses the trained weights unchanged;
 * recorded activations are: input neurons = the raw (normalized) inputs,
-  hidden neurons = post-nonlinearity outputs, output neurons = logits.
+  hidden neurons = post-nonlinearity outputs, output neurons = logits;
+* evaluation runs the examples through in batches of ``EVAL_BATCH``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ DEFAULT_LAYER_WIDTHS = (784, 256, 256, 256, 256, 10)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# examples per forward pass of evaluate_accuracy and record_activations
+EVAL_BATCH = 2048
 
 
 class TrainingDivergedError(RuntimeError):
@@ -103,10 +107,6 @@ class MlpModel:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
-
-    @property
-    def n_neurons(self) -> int:
-        return self.architecture.n_neurons
 
 
 @dataclass(frozen=True)
@@ -188,13 +188,11 @@ def _apply_activation_grad(da: np.ndarray, post: np.ndarray, kind: str) -> None:
 
 
 def sample_dropout_masks(
-    arch: MlpArchitecture, batch_size: int, rng: np.random.Generator
+    arch: MlpArchitecture, n_examples: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Boolean keep-masks for every hidden layer, the ones training applies."""
-    p = arch.dropout_rate
-    return [
-        rng.random((batch_size, w)) >= p for w in arch.layer_widths[1:-1]
-    ]
+    """Boolean keep-masks for every hidden layer over ``n_examples`` rows,
+    the ones training applies."""
+    return [rng.random((n_examples, w)) >= arch.dropout_rate for w in arch.layer_widths[1:-1]]
 
 
 def _check_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -260,24 +258,17 @@ def loss_and_gradients(
     model: MlpModel,
     inputs: np.ndarray,
     labels: np.ndarray,
-    mode: str = "eval",
     dropout_masks: list[np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean softmax cross-entropy and exact gradients for all parameters.
 
-    Train mode applies dropout with the given ``dropout_masks`` (see
+    Dropout applies exactly when ``dropout_masks`` are given (see
     :func:`sample_dropout_masks`), and the gradients are exact for them,
     which is what makes pinned-mask finite-difference checks possible. The
     gradients fill ``out``, a buffer shaped like ``model.params`` (allocated
     when None), and are returned as its weight and bias views.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or model.architecture.dropout_rate == 0:
-        dropout_masks = None
-    elif dropout_masks is None:
-        raise ValueError("train mode with dropout needs dropout masks")
     x = _check_batch(model, inputs)
     y = np.asarray(labels)
     n_classes = model.architecture.n_classes
@@ -376,9 +367,7 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
             masks = (
                 sample_dropout_masks(arch, sel.size, rng) if arch.dropout_rate > 0 else None
             )
-            loss, _, _ = loss_and_gradients(
-                model, x[sel], y[sel], mode="train", dropout_masks=masks, out=grads
-            )
+            loss, _, _ = loss_and_gradients(model, x[sel], y[sel], dropout_masks=masks, out=grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch}, step {step}"
@@ -387,13 +376,11 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
     return model
 
 
-def evaluate_accuracy(
-    model: MlpModel, images: np.ndarray, labels: np.ndarray, batch_size: int = 1024
-) -> float:
+def evaluate_accuracy(model: MlpModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of examples whose argmax logit matches the label."""
     logits = [
-        forward(model, images[start : start + batch_size])
-        for start in range(0, images.shape[0], batch_size)
+        forward(model, images[start : start + EVAL_BATCH])
+        for start in range(0, images.shape[0], EVAL_BATCH)
     ]
     return logit_accuracy(np.concatenate(logits), labels)
 
@@ -403,9 +390,7 @@ def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return np.count_nonzero(np.argmax(logits, axis=1) == labels) / logits.shape[0]
 
 
-def record_activations(
-    model: MlpModel, images: np.ndarray, batch_size: int = 2048
-) -> np.ndarray:
+def record_activations(model: MlpModel, images: np.ndarray) -> np.ndarray:
     """Activation table over ``images``, C-order ``(n_neurons, m)``: one row
     per neuron (inputs, then hidden layers, then output logits), one column
     per example, so each neuron's activation vector is contiguous."""
@@ -414,8 +399,8 @@ def record_activations(
     table = np.empty((sum(widths), x.shape[0]), dtype=np.float64)
     bounds = np.cumsum(widths)
     table[: widths[0]] = x.T
-    for start in range(0, x.shape[0], batch_size):
-        examples = slice(start, start + batch_size)
+    for start in range(0, x.shape[0], EVAL_BATCH):
+        examples = slice(start, start + EVAL_BATCH)
         logits, hidden, _, _ = _forward_cached(model, x[examples], None)
         for layer, act in enumerate(hidden + [logits]):
             table[bounds[layer] : bounds[layer + 1], examples] = act.T

@@ -70,8 +70,8 @@ class ClusteringResult:
     """Outcome of clustering one graph.
 
     ``labels`` has one entry per node of the input graph: a cluster id in
-    ``0..n_clusters-1``, or -1 for nodes that were dropped because they had
-    zero degree, numbered in the order of their lowest kept node.
+    ``0..n_clusters-1``, numbered in the order of their lowest kept node, or
+    -1 for nodes that were dropped because they had zero degree.
     ``ncut_value`` is the normalized cut of the partition on the kept
     subgraph.
     """
@@ -79,7 +79,6 @@ class ClusteringResult:
     labels: np.ndarray
     n_clusters: int
     ncut_value: float
-    dropped: np.ndarray
     kmeans_cost: float
 
     def cluster_sizes(self) -> np.ndarray:
@@ -105,16 +104,14 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     return 0.5 * (lap + lap.T)
 
 
-def smallest_eigenvectors(
-    laplacian: np.ndarray, n_vectors: int, eig_tol: float = EIG_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenvectors(laplacian: np.ndarray, n_vectors: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs for the ``n_vectors`` algebraically smallest eigenvalues.
 
     ``laplacian`` must be square and symmetric; ``eigh`` reads only its
     lower triangle.
     Returns ``(eigenvalues, eigenvectors)`` with orthonormal columns. Every
     returned pair is residual-checked against the full matrix: ``||L v - lam
-    v|| <= eig_tol * max(1, ||L||_F)``; a violation, a NaN pair or an
+    v|| <= EIG_TOL * max(1, ||L||_F)``; a violation, a NaN pair or an
     asymmetric ``laplacian`` raises :class:`EigensolverError` carrying the
     residual norms.
     """
@@ -129,13 +126,11 @@ def smallest_eigenvectors(
     values = values[:n_vectors]
     vectors = vectors[:, :n_vectors]
     residuals = np.linalg.norm(lap @ vectors - vectors * values, axis=0)
-    _check_eigenpairs(residuals, float(np.linalg.norm(lap)), vectors, eig_tol)
+    _check_eigenpairs(residuals, float(np.linalg.norm(lap)), vectors)
     return values, vectors
 
 
-def bipartite_eigenvectors(
-    graph: LayeredGraph, n_vectors: int, eig_tol: float = EIG_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of ``graph``'s normalized Laplacian for the ``n_vectors``
     smallest eigenvalues, without forming the n x n matrix.
 
@@ -151,7 +146,7 @@ def bipartite_eigenvectors(
     Every node must have positive degree. The checks are those of
     :func:`smallest_eigenvectors`, in block form: each pair's residual
     ``||[s u - B~ v; s v - B~^T u]|| / sqrt(2)`` against
-    ``eig_tol * max(1, ||L||_F)``, where ``||L||_F^2 = n + 2 ||B~||_F^2``,
+    ``EIG_TOL * max(1, ||L||_F)``, where ``||L||_F^2 = n + 2 ||B~||_F^2``,
     and orthonormal columns.
     """
     deg = graph.degrees()
@@ -161,7 +156,7 @@ def bipartite_eigenvectors(
     if not 1 <= n_vectors <= deg.size:
         raise ValueError(f"need 1 <= n_vectors <= {deg.size}, got {n_vectors}")
     if n_vectors > min(graph.block.shape):
-        return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors, eig_tol)
+        return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors)
     inv_sqrt = 1.0 / np.sqrt(deg)
     b = inv_sqrt[even][:, None] * graph.block
     b *= inv_sqrt[~even]
@@ -176,19 +171,17 @@ def bipartite_eigenvectors(
     vectors[even] = u
     vectors[~even] = v
     vectors *= np.sqrt(0.5)
-    _check_eigenpairs(residuals, np.sqrt(deg.size + 2 * np.sum(b * b)), vectors, eig_tol)
+    _check_eigenpairs(residuals, np.sqrt(deg.size + 2 * np.sum(b * b)), vectors)
     return 1.0 - sigma, vectors
 
 
-def _check_eigenpairs(
-    residuals: np.ndarray, laplacian_norm: float, vectors: np.ndarray, eig_tol: float
-) -> None:
+def _check_eigenpairs(residuals: np.ndarray, laplacian_norm: float, vectors: np.ndarray) -> None:
     """Raise :class:`EigensolverError` unless every residual is within
-    ``eig_tol * max(1, ||L||_F)`` and the columns are orthonormal; a NaN
+    ``EIG_TOL * max(1, ||L||_F)`` and the columns are orthonormal; a NaN
     pair fails both."""
-    if not np.all(residuals <= eig_tol * max(1.0, laplacian_norm)):
+    if not np.all(residuals <= EIG_TOL * max(1.0, laplacian_norm)):
         raise EigensolverError(
-            f"eigenpair residuals exceed {eig_tol:g} * max(1, ||L||_F): "
+            f"eigenpair residuals exceed {EIG_TOL:g} * max(1, ||L||_F): "
             f"max {residuals.max():.3e}",
             residuals=residuals,
         )
@@ -197,17 +190,11 @@ def _check_eigenpairs(
         raise EigensolverError("eigenvector columns are not orthonormal")
 
 
-def row_normalize(embedding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row to unit Euclidean norm.
-
-    All-zero rows are left untouched and flagged in the returned boolean
-    mask rather than treated as an error.
-    """
+def row_normalize(embedding: np.ndarray) -> np.ndarray:
+    """Scale each row to unit Euclidean norm; all-zero rows stay zero."""
     emb = np.asarray(embedding, dtype=np.float64)
     norms = np.linalg.norm(emb, axis=1)
-    zero_rows = norms == 0.0
-    safe = np.where(zero_rows, 1.0, norms)
-    return emb / safe[:, None], zero_rows
+    return emb / np.where(norms == 0.0, 1.0, norms)[:, None]
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,13 +216,14 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 def kmeans_single(
     points: np.ndarray, n_clusters: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """One k-means run (k-means++ seeding, at most ``KMEANS_MAX_ITERS`` Lloyd
     iterations, stopping once no center moves more than ``KMEANS_TOL``).
 
-    Returns ``(labels, centers, cost)`` with all clusters nonempty. An empty
-    cluster is repaired by reseeding it with the point farthest from its
-    assigned centroid. Within-run cost is checked to be non-increasing.
+    Returns ``(labels, cost)`` with all clusters nonempty. An empty cluster
+    is repaired by reseeding it with the point farthest from its assigned
+    centroid among the clusters that keep another member. Within-run cost is
+    checked to be non-increasing.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -249,12 +237,14 @@ def kmeans_single(
         sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(sq, axis=1)
         point_cost = sq[np.arange(n), labels]
-        for c in range(n_clusters):
-            if not np.any(labels == c):
-                far = int(np.argmax(point_cost))
-                labels[far] = c
-                centers[c] = pts[far]
-                point_cost[far] = 0.0
+        counts = np.bincount(labels, minlength=n_clusters)
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[labels] > 1, point_cost, -np.inf)))
+            counts[labels[far]] -= 1
+            counts[c] = 1
+            labels[far] = c
+            centers[c] = pts[far]
+            point_cost[far] = 0.0
         cost = float(point_cost.sum())
         if cost > prev_cost * (1 + 1e-12) + 1e-12:
             raise ArithmeticError("k-means cost increased between iterations")
@@ -266,7 +256,7 @@ def kmeans_single(
             break
         centers = new_centers
         prev_cost = cost
-    return labels, centers, cost
+    return labels, cost
 
 
 def kmeans(
@@ -282,7 +272,7 @@ def kmeans(
         rng = np.random.default_rng(rng)
     best_labels, best_cost = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        labels, _, cost = kmeans_single(points, n_clusters, rng)
+        labels, cost = kmeans_single(points, n_clusters, rng)
         if cost < best_cost * (1 - 1e-12):
             best_labels, best_cost = labels, cost
     # rank the clusters by their first point; kmeans_single leaves none empty
@@ -308,8 +298,8 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
     block of a ``LayeredGraph``, or the whole dense matrix, must hold finite,
     nonnegative entries, and a dense matrix must also be square and
     symmetric to within 1e-12 (a ``LayeredGraph`` is symmetric by
-    construction). Zero-degree nodes are removed up front and reported via
-    ``dropped``. The kept subgraph's smallest eigenvectors come from
+    construction). Zero-degree nodes are removed up front and labelled -1.
+    The kept subgraph's smallest eigenvectors come from
     :func:`bipartite_eigenvectors` for a ``LayeredGraph`` and from
     :func:`normalized_laplacian` and :func:`smallest_eigenvectors` for a
     dense matrix; then row normalization -> k-means, and the partition is
@@ -329,7 +319,6 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
         if not (asym <= 1e-12):
             raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
         deg = a.sum(axis=1)
-    dropped = np.flatnonzero(deg == 0)
     kept = np.flatnonzero(deg > 0)
     if kept.size < config.k:
         raise ValueError(
@@ -341,7 +330,7 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
     else:
         sub = a[np.ix_(kept, kept)]
         _, vectors = smallest_eigenvectors(normalized_laplacian(sub), config.k)
-    embedding, _ = row_normalize(vectors)
+    embedding = row_normalize(vectors)
     sub_labels, cost = kmeans(embedding, config.k, rng=config.rng_seed)
     score = ncut(sub, sub_labels, config.k)
     labels = np.full(deg.size, -1, dtype=np.int64)
@@ -350,6 +339,5 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
         labels=labels,
         n_clusters=config.k,
         ncut_value=score,
-        dropped=dropped,
         kmeans_cost=cost,
     )

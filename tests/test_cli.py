@@ -17,7 +17,7 @@ from conftest import SMOKE_WIDTHS, smoke_config
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "mlpmod.cli", *args],
+        [sys.executable, "-W", "error", "-m", "mlpmod.cli", *args],
         capture_output=True,
         text=True,
     )
@@ -135,6 +135,21 @@ def test_checkpoint_data_width_mismatch_is_data_error(smoke_data_dir, tmp_path, 
     assert proc.returncode == 2, proc.stderr
     assert "data error" in proc.stderr
     assert "784 pixels" in proc.stderr and "100 neurons" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["weights", "spearman"])
+def test_labels_beyond_the_output_layer_are_data_error(smoke_data_dir, tmp_path, method):
+    # the smoke test split holds labels 0..9, more than 5 output neurons can name
+    ckpt = tmp_path / "five_classes.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 5)), 0), ckpt)
+    proc = run_cli(
+        "analyze", "--checkpoint", str(ckpt), "--method", method,
+        "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr
+    assert "test split has label" in proc.stderr and "output layer has 5 neurons" in proc.stderr
+    assert not list(tmp_path.glob("analysis_*.json"))
 
 
 def test_output_path_under_regular_file_is_data_error(tmp_path):

@@ -322,12 +322,3 @@ def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
         want[b:c, a:b] = want[a:b, b:c].T
     got = build_correlation_adjacency(table, SMOKE_WIDTHS).dense()
     assert got.tobytes() == want.tobytes()
-
-
-def test_accepts_architecture_object():
-    rng = np.random.default_rng(9)
-    arch = MlpArchitecture(layer_widths=(2, 3, 2))
-    table = rng.standard_normal((7, 8))
-    a = build_correlation_adjacency(table, arch)
-    assert a.even.tolist() == [True] * 2 + [False] * 3 + [True] * 2
-    assert a.dense().shape == (7, 7)

@@ -37,7 +37,7 @@ def test_demo_runs(demo, tmp_path):
         args = [str(tmp_path / "data"), str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(demo), *args],
+        [sys.executable, "-W", "error", str(demo), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -49,7 +49,9 @@ def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir):
     test = load_splits(full_shape_mnist_dir / "mnist", ["test"])["test"]
     graphs = {
         "weights": build_weight_adjacency(model.weights, arch.layer_widths),
-        "spearman": build_correlation_adjacency(record_activations(model, test.images), arch),
+        "spearman": build_correlation_adjacency(
+            record_activations(model, test.images), arch.layer_widths
+        ),
     }
     cfg = SpectralConfig(k=4, rng_seed=0)
     for method, graph in graphs.items():

@@ -225,6 +225,18 @@ def test_empty_training_split_is_data_error_before_training(tmp_path, monkeypatc
     assert list((tmp_path / "out" / "checkpoints").iterdir()) == []
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_labels_beyond_the_output_layer_fail_before_training(
+    smoke_data_dir, tmp_path, monkeypatch, method
+):
+    # the smoke splits hold labels 0..9, more than 5 output neurons can name
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    cfg = replace(smoke_config(method), layer_widths=(784, 16, 5))
+    with pytest.raises(DataError, match="training split has label .* output layer has 5 neurons"):
+        run_experiment(cfg, smoke_data_dir, tmp_path / "out")
+    assert list((tmp_path / "out" / "checkpoints").iterdir()) == []
+
+
 def test_grid_records_empty_test_split_as_cell_failure(tmp_path):
     make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=0, seed=0)
     result = run_grid(

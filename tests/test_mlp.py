@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mlpmod.mlp
 from mlpmod.checkpoint import load_checkpoint, save_checkpoint
 from mlpmod.data import Dataset, LabeledImageSet
 from mlpmod.mlp import (
@@ -69,7 +70,6 @@ def flatten_params(model):
 
 def finite_difference_gradients(model, x, y, masks=None, step=1e-5):
     """Central differences through the full loss, one parameter at a time."""
-    mode = "eval" if masks is None else "train"
     grads = []
     for param in flatten_params(model):
         g = np.zeros_like(param)
@@ -78,9 +78,9 @@ def finite_difference_gradients(model, x, y, masks=None, step=1e-5):
             idx = it.multi_index
             original = param[idx]
             param[idx] = original + step
-            up, _, _ = loss_and_gradients(model, x, y, mode=mode, dropout_masks=masks)
+            up, _, _ = loss_and_gradients(model, x, y, dropout_masks=masks)
             param[idx] = original - step
-            down, _, _ = loss_and_gradients(model, x, y, mode=mode, dropout_masks=masks)
+            down, _, _ = loss_and_gradients(model, x, y, dropout_masks=masks)
             param[idx] = original
             g[idx] = (up - down) / (2 * step)
             it.iternext()
@@ -120,16 +120,6 @@ def test_forward_dropout_is_identity_at_eval():
         np.testing.assert_array_equal(w_a, w_b)
     x = np.random.default_rng(2).random((7, 4))
     np.testing.assert_array_equal(forward(base, x), forward(dropped, x))
-
-
-def test_train_mode_with_dropout_requires_masks():
-    model = make_model((4, 6, 3), dropout=0.5)
-    x = np.zeros((2, 4))
-    y = np.array([0, 2])
-    with pytest.raises(ValueError, match="needs dropout masks"):
-        loss_and_gradients(model, x, y, mode="train")
-    # fine without dropout
-    loss_and_gradients(make_model((4, 6, 3)), x, y, mode="train")
 
 
 def test_forward_rejects_bad_batches():
@@ -215,12 +205,12 @@ def test_gradients_match_finite_differences_pinned_dropout(activation):
     y = rng.integers(0, 3, size=6)
     masks = sample_dropout_masks(model.architecture, 6, np.random.default_rng(11))
     loss, grads_w, grads_b = loss_and_gradients(
-        model, x, y, mode="train", dropout_masks=masks
+        model, x, y, dropout_masks=masks
     )
     numeric = finite_difference_gradients(model, x, y, masks=masks)
     assert_gradients_close(grads_w + grads_b, numeric)
-    # same masks give the same loss; train mode with dropout is mask-determined
-    loss2, _, _ = loss_and_gradients(model, x, y, mode="train", dropout_masks=masks)
+    # same masks give the same loss; dropout is mask-determined
+    loss2, _, _ = loss_and_gradients(model, x, y, dropout_masks=masks)
     assert loss == loss2
 
 
@@ -231,11 +221,11 @@ def test_gradients_fill_supplied_buffers():
     y = rng.integers(0, 3, size=6)
     masks = sample_dropout_masks(model.architecture, 6, np.random.default_rng(26))
     loss, grads_w, grads_b = loss_and_gradients(
-        model, x, y, mode="train", dropout_masks=masks
+        model, x, y, dropout_masks=masks
     )
     out = np.full_like(model.params, np.nan)
     loss_out, out_w, out_b = loss_and_gradients(
-        model, x, y, mode="train", dropout_masks=masks, out=out
+        model, x, y, dropout_masks=masks, out=out
     )
     assert loss_out == loss
     assert all(np.shares_memory(a, out) for a in out_w + out_b)
@@ -380,7 +370,7 @@ def test_evaluate_accuracy_counts_argmax_hits():
 
 
 def test_recorded_logits_give_evaluate_accuracy():
-    # several batches of both record_activations (2048) and evaluate_accuracy (1024)
+    # several batches of EVAL_BATCH examples
     rng = np.random.default_rng(12)
     model = init_model(MlpArchitecture(layer_widths=(20, 16, 16, 4)), 0)
     x = rng.random((4500, 20))
@@ -431,16 +421,14 @@ def test_eval_forward_is_pure():
     np.testing.assert_array_equal(forward(model, x), forward(model, x))
 
 
-def test_record_activations_batched_matches_single_pass():
+def test_record_activations_batched_matches_single_pass(monkeypatch):
     model = make_model((5, 4, 3), seed=22)
     x = np.random.default_rng(23).random((10, 5))
+    monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 3)
+    batched = record_activations(model, x)
+    monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 100)
     # BLAS blocking differs with batch shape, so equality is up to rounding
-    np.testing.assert_allclose(
-        record_activations(model, x, batch_size=3),
-        record_activations(model, x, batch_size=100),
-        rtol=0.0,
-        atol=1e-12,
-    )
+    np.testing.assert_allclose(batched, record_activations(model, x), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 import mlpmod.spectral
 from mlpmod.graph import LayeredGraph, ncut
 from mlpmod.spectral import (
-    EIG_TOL,
     KMEANS_RESTARTS,
     EigensolverError,
     SpectralConfig,
@@ -116,8 +115,8 @@ def test_eigenvectors_null_space_separates_components():
     lap = normalized_laplacian(a)
     values, vectors = smallest_eigenvectors(lap, 2)
     np.testing.assert_allclose(values, [0.0, 0.0], atol=1e-10)
-    normalized, zero_rows = row_normalize(vectors)
-    assert not zero_rows.any()
+    normalized = row_normalize(vectors)
+    np.testing.assert_allclose(np.linalg.norm(normalized, axis=1), 1.0, atol=1e-12)  # no zero row
     # rows coincide within a component, differ across them
     for block in (normalized[:3], normalized[3:]):
         np.testing.assert_allclose(block, np.tile(block[0], (3, 1)), atol=1e-9)
@@ -157,12 +156,13 @@ def test_eigenvectors_k_out_of_range():
         smallest_eigenvectors(np.eye(3), 4)
 
 
-def test_eigenvectors_residual_failure_carries_norms():
+def test_eigenvectors_residual_failure_carries_norms(monkeypatch):
     a = triangle_union(2)
     lap = normalized_laplacian(a)
     # an impossible tolerance forces the residual check to reject the pairs
+    monkeypatch.setattr(mlpmod.spectral, "EIG_TOL", 1e-18)
     with pytest.raises(EigensolverError, match="residuals") as err:
-        smallest_eigenvectors(lap, 2, eig_tol=1e-18)
+        smallest_eigenvectors(lap, 2)
     assert err.value.residuals is not None
     assert err.value.residuals.shape == (2,)
 
@@ -171,25 +171,24 @@ def test_eigenvectors_residual_failure_carries_norms():
 # row_normalize
 
 def test_row_normalize_three_four():
-    normalized, zero_rows = row_normalize(np.array([[3.0, 4.0]]))
+    normalized = row_normalize(np.array([[3.0, 4.0]]))
     np.testing.assert_allclose(normalized, [[0.6, 0.8]], atol=1e-15)
-    assert not zero_rows.any()
 
 
 def test_row_normalize_zero_row_flagged():
-    normalized, zero_rows = row_normalize(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    np.testing.assert_array_equal(normalized[0], [0.0, 0.0])
-    assert zero_rows.tolist() == [True, False]
+    # a zero row comes back unchanged, beside a normalized one
+    normalized = row_normalize(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    np.testing.assert_array_equal(normalized, [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_row_normalize_random_norms():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((40, 5))
     m[7] = 0.0
-    normalized, zero_rows = row_normalize(m)
+    normalized = row_normalize(m)
     norms = np.linalg.norm(normalized, axis=1)
     for i, norm in enumerate(norms):
-        if zero_rows[i]:
+        if i == 7:
             assert norm == 0.0
         else:
             assert norm == pytest.approx(1.0, abs=1e-9)
@@ -224,6 +223,17 @@ def test_kmeans_duplicate_points_repair():
     assert cost == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kmeans_repair_keeps_every_cluster_it_fills():
+    # two distinct points for four clusters: once every point costs 0, a
+    # repair that took the farthest point anywhere would empty the cluster
+    # the previous repair filled, and a restart would end with an empty
+    # cluster (a mean-of-empty-slice warning) and a NaN cost
+    points = np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 5)
+    labels, cost = kmeans(points, 4, rng=0)
+    assert np.bincount(labels, minlength=4).min() >= 1
+    assert cost == 0.0
+
+
 def test_kmeans_too_few_points():
     with pytest.raises(ValueError, match="cannot make"):
         kmeans(np.zeros((2, 2)), 3, rng=0)
@@ -245,7 +255,7 @@ def test_kmeans_keeps_the_earliest_restart_within_rounding(monkeypatch):
     costs = iter([1.0, 1.0 - 1e-14, 0.5, 0.5 * (1 - 1e-13)] + [0.7] * (KMEANS_RESTARTS - 4))
 
     def scripted_restart(points, k, rng):
-        return np.array([1, 0, 0]), None, next(costs)
+        return np.array([1, 0, 0]), next(costs)
 
     monkeypatch.setattr(mlpmod.spectral, "kmeans_single", scripted_restart)
     labels, cost = kmeans(np.zeros((3, 1)), 2, rng=0)
@@ -274,7 +284,7 @@ def test_cluster_graph_four_triangles():
     result = cluster_graph(a, SpectralConfig(k=4, rng_seed=0))
     assert result.ncut_value == pytest.approx(0.0, abs=1e-12)
     assert same_partition(np.repeat(np.arange(4), 3), result.labels)
-    assert result.dropped.size == 0
+    assert np.all(result.labels >= 0)
 
 
 def test_cluster_graph_planted_two_blocks():
@@ -301,12 +311,12 @@ def test_cluster_graph_matches_best_restart_and_reruns_identically():
         # replay the restart stream and score each restart's partition
         from mlpmod.spectral import normalized_laplacian, smallest_eigenvectors
         lap = normalized_laplacian(a)
-        _, vectors = smallest_eigenvectors(lap, k, EIG_TOL)
-        embedding, _ = row_normalize(vectors)
+        _, vectors = smallest_eigenvectors(lap, k)
+        embedding = row_normalize(vectors)
         replay_rng = np.random.default_rng(cfg.rng_seed)
         restart_ncuts = []
         for _ in range(KMEANS_RESTARTS):
-            labels_r, _, _ = kmeans_single(embedding, k, replay_rng)
+            labels_r, _ = kmeans_single(embedding, k, replay_rng)
             restart_ncuts.append(ncut(a, labels_r, k))
         assert result.ncut_value <= 1.05 * min(restart_ncuts) + 1e-12
 
@@ -328,7 +338,7 @@ def test_cluster_graph_drops_zero_degree_nodes():
     padded = np.zeros((8, 8))
     padded[:6, :6] = a
     result = cluster_graph(padded, SpectralConfig(k=2, rng_seed=0))
-    assert result.dropped.tolist() == [6, 7]
+    assert np.flatnonzero(result.labels < 0).tolist() == [6, 7]
     assert result.labels[6] == -1 and result.labels[7] == -1
     assert result.cluster_sizes().sum() == 6
 
@@ -405,7 +415,7 @@ def assert_block_path_matches_dense(graph, k, rng_seed=0):
     cfg = SpectralConfig(k=k, rng_seed=rng_seed)
     block, dense = cluster_graph(graph, cfg), cluster_graph(graph.dense(), cfg)
     np.testing.assert_array_equal(block.labels, dense.labels)
-    np.testing.assert_array_equal(block.dropped, dense.dropped)
+    np.testing.assert_array_equal(block.labels < 0, dense.labels < 0)
     assert block.ncut_value == pytest.approx(dense.ncut_value, rel=1e-10, abs=1e-12)
     assert block.kmeans_cost == pytest.approx(dense.kmeans_cost, rel=1e-10, abs=1e-12)
     return block
@@ -466,10 +476,11 @@ def test_block_path_with_k_above_the_smaller_side_matches_dense():
         assert_block_path_matches_dense(graph, k)
 
 
-def test_bipartite_residual_failure_carries_norms():
+def test_bipartite_residual_failure_carries_norms(monkeypatch):
     graph = random_layered(np.random.default_rng(50), (5, 4, 6), density=1.0)
+    monkeypatch.setattr(mlpmod.spectral, "EIG_TOL", 1e-18)
     with pytest.raises(EigensolverError, match="residuals") as err:
-        bipartite_eigenvectors(graph, 3, eig_tol=1e-18)
+        bipartite_eigenvectors(graph, 3)
     assert err.value.residuals.shape == (3,)
 
 
