@@ -54,8 +54,8 @@ print(f"  planted-partition ncut = {ncut(planted, truth, 2):.6f}")
 # --- a layered network with two planted modules ---------------------------
 # edges join adjacent layers only, so the graph is bipartite (even layers
 # against odd ones): from_layers writes the layer-pair blocks into one even x
-# odd block, and cluster_graph takes its eigenvectors from an SVD of that
-# block instead of the whole n x n Laplacian
+# odd block, and cluster_graph takes its eigenvectors from the Gram matrix of
+# that block's smaller side instead of the whole n x n Laplacian
 widths = (12, 8, 8, 4)
 modules = [np.arange(w) % 2 for w in widths]
 blocks = [

@@ -2,10 +2,11 @@
 normalized Laplacian, row-normalized embedding, seeded k-means with restarts.
 
 A :class:`~mlpmod.graph.LayeredGraph` is bipartite, even layers against odd
-layers, so its eigenpairs come from a singular value decomposition of the
-degree-scaled even x odd block (Dhillon, KDD 2001) and no n x n matrix is
-formed. A dense adjacency matrix goes through its Laplacian and a dense
-symmetric eigendecomposition; that path is also the reference the block
+layers, so its eigenpairs come from ``eigh`` of the Gram matrix of the smaller
+side of its degree-scaled even x odd block (Dhillon, KDD 2001), and no n x n
+matrix is formed unless k exceeds that side or the k-th singular value is below
+``SIGMA_FLOOR``. A dense adjacency matrix goes through its Laplacian and a
+dense symmetric eigendecomposition; that path is also the reference the block
 path is tested against.
 """
 
@@ -44,6 +45,7 @@ KMEANS_RESTARTS = 10
 KMEANS_MAX_ITERS = 300
 KMEANS_TOL = 1e-8
 EIG_TOL = 1e-9
+SIGMA_FLOOR = 1e-3  # the Gram form's S v / s errs by about eps / s^2
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,13 @@ def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndar
     ``B = graph.block``, the Laplacian is ``I - [[0, B~], [B~^T, 0]]``, so
     each singular triplet ``(s, u, v)`` of ``B~`` gives the eigenvalue
     ``1 - s`` with eigenvector ``[u; v] / sqrt(2)`` (Dhillon, KDD 2001), put
-    back in node order. When ``n_vectors`` exceeds the smaller side, the
-    null space of ``B~`` holds wanted eigenvectors that the thin SVD does
-    not return, and the dense Laplacian of ``graph.dense()`` goes through
-    :func:`smallest_eigenvectors` instead.
+    back in node order. The top ``n_vectors`` triplets come from ``eigh`` of
+    ``S^T S``, for ``S`` the one of ``B~`` and ``B~^T`` with fewer columns:
+    ``s = sqrt(w)``, and the other side is ``S v / s``. The dense Laplacian of
+    ``graph.dense()`` goes through :func:`smallest_eigenvectors` instead when
+    ``n_vectors`` exceeds the smaller side (the null space of ``B~`` holds
+    wanted eigenvectors) or the ``n_vectors``-th ``s`` is below
+    ``SIGMA_FLOOR`` (``S v / s`` loses accuracy).
 
     Every node must have positive degree. The checks are those of
     :func:`smallest_eigenvectors`, in block form: each pair's residual
@@ -155,16 +160,21 @@ def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndar
     even = graph.even
     if not 1 <= n_vectors <= deg.size:
         raise ValueError(f"need 1 <= n_vectors <= {deg.size}, got {n_vectors}")
-    if n_vectors > min(graph.block.shape):
-        return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors)
     inv_sqrt = 1.0 / np.sqrt(deg)
     b = inv_sqrt[even][:, None] * graph.block
     b *= inv_sqrt[~even]
+    tall = b.T if b.shape[1] > b.shape[0] else b
     try:
-        u, sigma, vt = np.linalg.svd(b, full_matrices=False)
+        w, v = np.linalg.eigh(tall.T @ tall)
     except np.linalg.LinAlgError as e:
-        raise EigensolverError(f"bipartite singular value decomposition failed: {e}") from e
-    sigma, u, v = sigma[:n_vectors], u[:, :n_vectors], vt[:n_vectors].T
+        raise EigensolverError(f"bipartite Gram eigendecomposition failed: {e}") from e
+    if np.isnan(w).any():
+        raise EigensolverError("bipartite Gram spectrum has NaN entries")
+    sigma = np.sqrt(np.maximum(w[::-1][:n_vectors], 0.0))
+    if n_vectors > w.size or sigma[-1] < SIGMA_FLOOR:
+        return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors)
+    v = v[:, ::-1][:, :n_vectors]
+    u, v = (tall @ v / sigma, v) if tall is b else (v, tall @ v / sigma)
     residuals = np.linalg.norm(np.vstack([u * sigma - b @ v, v * sigma - b.T @ u]), axis=0)
     residuals /= np.sqrt(2.0)
     vectors = np.empty((deg.size, n_vectors))

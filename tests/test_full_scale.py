@@ -11,6 +11,8 @@ from mlpmod.harness import ExperimentConfig, run_experiment
 from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model, record_activations
 from mlpmod.spectral import SpectralConfig, cluster_graph
 
+from test_spectral import forbid_dense_route
+
 
 @pytest.mark.slow
 def test_full_architecture_both_methods(full_shape_mnist_dir, tmp_path):
@@ -43,7 +45,7 @@ def test_full_architecture_both_methods(full_shape_mnist_dir, tmp_path):
 
 
 @pytest.mark.slow
-def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir):
+def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir, monkeypatch):
     arch = MlpArchitecture()
     model = init_model(arch, 0)
     test = load_splits(full_shape_mnist_dir / "mnist", ["test"])["test"]
@@ -54,9 +56,13 @@ def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir):
         ),
     }
     cfg = SpectralConfig(k=4, rng_seed=0)
+    dense = {method: cluster_graph(graph.dense(), cfg) for method, graph in graphs.items()}
+    # a guard that sent every graph down the dense route would pass the
+    # comparison below, only slower
+    forbid_dense_route(monkeypatch)
     for method, graph in graphs.items():
         assert graph.n_nodes == 1818
-        block, dense = cluster_graph(graph, cfg), cluster_graph(graph.dense(), cfg)
-        np.testing.assert_array_equal(block.labels, dense.labels, err_msg=method)
-        assert block.ncut_value == pytest.approx(dense.ncut_value, rel=1e-10)
-        assert block.kmeans_cost == pytest.approx(dense.kmeans_cost, rel=1e-10)
+        block = cluster_graph(graph, cfg)
+        np.testing.assert_array_equal(block.labels, dense[method].labels, err_msg=method)
+        assert block.ncut_value == pytest.approx(dense[method].ncut_value, rel=1e-10)
+        assert block.kmeans_cost == pytest.approx(dense[method].kmeans_cost, rel=1e-10)

@@ -400,6 +400,15 @@ def test_cluster_graph_rejects_invalid_layered_graph(make_graph, fault):
 # ---------------------------------------------------------------------------
 # the bipartite path against the dense path
 
+def forbid_dense_route(monkeypatch):
+    """From here on, forming the n x n matrix of a LayeredGraph or any
+    normalized Laplacian fails the test."""
+    def forbidden(*args):
+        raise AssertionError("the block path took the dense route")
+    monkeypatch.setattr(LayeredGraph, "dense", forbidden)
+    monkeypatch.setattr(mlpmod.spectral, "normalized_laplacian", forbidden)
+
+
 def assert_block_path_matches_dense(graph, k, rng_seed=0):
     """Same labels, and ncut, eigenvalues and k-means cost to 1e-10, on a
     graph whose k-th and (k+1)-th eigenvalues differ: only then is the
@@ -476,6 +485,24 @@ def test_block_path_with_k_above_the_smaller_side_matches_dense():
         assert_block_path_matches_dense(graph, k)
 
 
+def test_block_path_with_a_vanishing_kth_singular_value_takes_the_dense_route():
+    # widths 7-2-1-5: the 8 x 7 scaled block has rank 3, so s_4 = 0 and the
+    # Gram form's S v / s would divide by it; the eigenvalue 1 has
+    # multiplicity 9, so the labels are not unique and are not compared
+    graph = random_layered(np.random.default_rng(41), (7, 2, 1, 5), density=1.0)
+    lap = normalized_laplacian(graph.dense())
+    spectrum = np.linalg.eigvalsh(lap)
+    assert np.sum(np.abs(spectrum - 1.0) < 1e-10) == 9
+    for k in (4, 5):
+        values, vectors = bipartite_eigenvectors(graph, k)
+        np.testing.assert_allclose(values, spectrum[:k], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(lap @ vectors, vectors * values, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-10)
+        result = cluster_graph(graph, SpectralConfig(k=k, rng_seed=0))
+        assert np.all(result.labels >= 0)
+        assert np.all(result.cluster_sizes() > 0)
+
+
 def test_bipartite_residual_failure_carries_norms(monkeypatch):
     graph = random_layered(np.random.default_rng(50), (5, 4, 6), density=1.0)
     monkeypatch.setattr(mlpmod.spectral, "EIG_TOL", 1e-18)
@@ -484,11 +511,15 @@ def test_bipartite_residual_failure_carries_norms(monkeypatch):
     assert err.value.residuals.shape == (3,)
 
 
-def test_bipartite_eigenvectors_of_nan_block_raise():
-    graph = random_layered(np.random.default_rng(51), (20, 20, 20), density=1.0)
-    graph.block[23, 2] = np.nan  # layer 1 node 2 to layer 2 node 3
-    with pytest.raises(EigensolverError):
-        bipartite_eigenvectors(graph, 2)
+def test_bipartite_eigenvectors_of_nan_block_raise(monkeypatch):
+    # a NaN spectrum raises and is not rerouted; eigh either fails on these
+    # Gram matrices (20 x 20 here) or returns NaN eigenvalues (50 x 50)
+    forbid_dense_route(monkeypatch)
+    for width in (20, 50):
+        graph = random_layered(np.random.default_rng(51), (width,) * 3, density=1.0)
+        graph.block[width + 3, 2] = np.nan  # layer 1 node 2 to layer 2 node 3
+        with pytest.raises(EigensolverError):
+            bipartite_eigenvectors(graph, 2)
 
 
 def test_bipartite_eigenvectors_reject_zero_degree():
