@@ -144,13 +144,9 @@ def _cmd_grid(args) -> int:
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise UsageError(f"bad --seeds value {args.seeds!r}: seed {repeated[0]} is repeated")
+    _config(TrainConfig, epochs=args.epochs)  # a bad --epochs is a usage error
     logging.basicConfig(level=logging.INFO, format="%(message)s")  # progress on stderr
-    result = run_grid(
-        args.data_dir,
-        args.out,
-        seeds=seeds,
-        train_cfg=_config(TrainConfig, epochs=args.epochs),
-    )
+    result = run_grid(args.data_dir, args.out, seeds=seeds, epochs=args.epochs)
     for method, table in result.tables.items():
         print(f"\n[{method}]")
         print(table, end="")

@@ -59,7 +59,8 @@ def standardize_rank_rows(table: np.ndarray) -> None:
 
 
 def _standardize_ranks(x: np.ndarray) -> None:
-    """Overwrite the contiguous vector ``x`` with its standardized ranks.
+    """Overwrite the vector ``x``, a row of any stride, with its standardized
+    ranks.
 
     Only the nonzero entries are sorted; the exact zeros (``-0.0`` included)
     form one tie group between the negative and the positive values. The
@@ -102,22 +103,21 @@ def build_correlation_adjacency(table: np.ndarray, layer_widths: Sequence[int]) 
     neuron pair is an edge of the underlying MLP, so each layer-pair block is
     one matrix product of standardized rank rows.
 
-    The table is ranked in place: a C-contiguous float64 ``table`` is
-    overwritten with its standardized ranks. A table of another layout or
-    dtype is copied first and left as it was.
+    The table must be float64, of any memory layout, and is ranked in place:
+    it is overwritten with its standardized ranks. A table of another dtype
+    raises ``ValueError``.
     """
     widths = tuple(layer_widths)
     starts = layer_starts(widths)
-    z = np.ascontiguousarray(table, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != starts[-1]:
+    if table.ndim != 2 or table.shape[0] != starts[-1]:
         raise ValueError(
-            f"activation table has shape {z.shape}; the layer widths imply "
+            f"activation table has shape {table.shape}; the layer widths imply "
             f"{starts[-1]} neuron rows"
         )
-    if z.shape[1] < 2:
+    if table.shape[1] < 2:
         raise ValueError("need at least two recorded examples")
-    standardize_rank_rows(z)
+    standardize_rank_rows(table)
     return LayeredGraph.from_layers(widths, [
-        np.abs(z[starts[i] : starts[i + 1]] @ z[starts[i + 1] : starts[i + 2]].T)
+        np.abs(table[starts[i] : starts[i + 1]] @ table[starts[i + 1] : starts[i + 2]].T)
         for i in range(len(widths) - 1)
     ])

@@ -145,22 +145,17 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def write_idx_images(path, images: np.ndarray, compress: bool = False) -> None:
-    """Write a (m, 784) or (m, 28, 28) uint8 array as an IDX image file."""
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write a (m, 784) or (m, 28, 28) uint8 array as an uncompressed IDX
+    image file."""
     arr = np.asarray(images, dtype=np.uint8).reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
     header = struct.pack(">IIII", IMAGE_MAGIC, arr.shape[0], IMAGE_SIDE, IMAGE_SIDE)
-    payload = header + arr.tobytes()
-    if compress:
-        payload = gzip.compress(payload)
-    Path(path).write_bytes(payload)
+    Path(path).write_bytes(header + arr.tobytes())
 
 
-def write_idx_labels(path, labels: np.ndarray, compress: bool = False) -> None:
+def write_idx_labels(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels, dtype=np.uint8).reshape(-1)
-    payload = struct.pack(">II", LABEL_MAGIC, arr.shape[0]) + arr.tobytes()
-    if compress:
-        payload = gzip.compress(payload)
-    Path(path).write_bytes(payload)
+    Path(path).write_bytes(struct.pack(">II", LABEL_MAGIC, arr.shape[0]) + arr.tobytes())
 
 
 def load_split_files(images_path, labels_path, split: str) -> LabeledImageSet:
@@ -222,7 +217,6 @@ def make_synthetic_dataset(
     n_train: int = 20,
     n_test: int = 20,
     seed: int = 0,
-    compress: bool = False,
 ) -> Path:
     """Write a small random IDX dataset under ``<data_dir>/<name>/``.
 
@@ -236,6 +230,6 @@ def make_synthetic_dataset(
         images = rng.integers(0, 256, size=(count, N_PIXELS), dtype=np.uint8)
         labels = rng.integers(0, N_CLASSES, size=count, dtype=np.uint8)
         images_name, labels_name = SPLIT_FILES[split]
-        write_idx_images(directory / images_name, images, compress=compress)
-        write_idx_labels(directory / labels_name, labels, compress=compress)
+        write_idx_images(directory / images_name, images)
+        write_idx_labels(directory / labels_name, labels)
     return directory

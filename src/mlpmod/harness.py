@@ -16,7 +16,7 @@ import json
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -434,39 +434,41 @@ def run_grid(
     data_dir,
     out_dir,
     seeds=(0,),
-    train_cfg: TrainConfig = TrainConfig(),
-    spectral: SpectralConfig = SpectralConfig(),
+    epochs: int = 20,
     datasets=("mnist", "fashion_mnist"),
     layer_widths=DEFAULT_LAYER_WIDTHS,
 ) -> GridResult:
     """All dataset x activation x dropout cells, both methods, every seed.
 
-    A failing cell is recorded and skipped; the rest of the grid continues.
-    Writes per-experiment JSON, the tables and grid CSV of ``write_tables``,
-    and a summary JSON with the activation-ordering and dropout-effect
-    checks. A seed given twice raises ``ValueError`` before any work.
+    Each cell trains for ``epochs`` with its seed and clusters under the
+    default ``SpectralConfig``, the paper's k = 4. A failing cell is
+    recorded and skipped; the rest of the grid continues. Writes
+    per-experiment JSON, the tables and grid CSV of ``write_tables``, and a
+    summary JSON with the activation-ordering and dropout-effect checks. An
+    empty, repeated or negative seed, or a bad ``epochs``, raises
+    ``ValueError`` before any training or file write.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ValueError(f"seed {repeated[0]} is repeated in seeds {seeds}")
+    cells = itertools.product(datasets, ACTIVATIONS, (False, True), seeds, METHODS)
+    configs = [  # all built, and so checked, before the first file write
+        ExperimentConfig(
+            dataset=dataset, activation=activation, dropout=dropout, method=method,
+            layer_widths=tuple(layer_widths), train=TrainConfig(epochs=epochs, rng_seed=seed),
+        )
+        for dataset, activation, dropout, seed, method in cells
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: list[ExperimentReport] = []
     failures: list[dict] = []
     cache: dict = {}
-    cells = itertools.product(datasets, ACTIVATIONS, (False, True), seeds, METHODS)
-    for dataset, activation, dropout, seed, method in cells:
-        cfg = ExperimentConfig(
-            dataset=dataset,
-            activation=activation,
-            dropout=dropout,
-            method=method,
-            layer_widths=tuple(layer_widths),
-            train=replace(train_cfg, rng_seed=seed),
-            spectral=spectral,
-        )
-        label = "/".join((*_cell_parts(cfg), method, f"seed{seed}"))
+    for cfg in configs:
+        label = "/".join((*_cell_parts(cfg), cfg.method, f"seed{cfg.train.rng_seed}"))
         log.info("running %s", label)
         try:
             reports.append(run_experiment(cfg, data_dir, out_dir, cache))

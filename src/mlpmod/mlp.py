@@ -12,12 +12,14 @@ Conventions used throughout:
   layers only, so evaluation uses the trained weights unchanged;
 * recorded activations are: input neurons = the raw (normalized) inputs,
   hidden neurons = post-nonlinearity outputs, output neurons = logits;
+* training runs minibatches of ``BATCH_SIZE`` through Adam at step size
+  ``LEARNING_RATE``; a ``TrainConfig`` sets only the epochs and the seed;
 * evaluation runs the examples through in batches of ``EVAL_BATCH``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +48,9 @@ ACTIVATIONS = ("relu", "sigmoid")
 # 28x28 images, four hidden layers of 256, ten classes
 DEFAULT_LAYER_WIDTHS = (784, 256, 256, 256, 256, 10)
 
-# fixed Adam settings of every training run (Kingma & Ba's defaults)
+# fixed settings of every training run (the Adam ones are Kingma & Ba's defaults)
+BATCH_SIZE = 128
+LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -111,36 +115,30 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What a training run varies: its epochs, and the seed of its weight
+    init, shuffles and dropout masks."""
+
     epochs: int = 20
-    batch_size: int = 128
-    learning_rate: float = 1e-3
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
     def to_dict(self) -> dict:
-        """These fields plus the fixed Adam settings and the per-epoch
-        shuffle, as reports and checkpoint fingerprints record them."""
+        """Every setting of the run, the fixed ones included, as reports and
+        checkpoint fingerprints record them."""
         return dict(
-            asdict(self), beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
+            epochs=self.epochs, batch_size=BATCH_SIZE, learning_rate=LEARNING_RATE,
+            rng_seed=self.rng_seed, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS,
             shuffle_each_epoch=True,
         )
 
 
-def init_model(
-    arch: MlpArchitecture, rng: np.random.Generator | int | None = 0
-) -> MlpModel:
-    """Glorot-uniform weights, zero biases."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+def init_model(arch: MlpArchitecture, rng: np.random.Generator) -> MlpModel:
+    """Glorot-uniform weights drawn from ``rng``, zero biases."""
     weights, biases = [], []
     for fan_in, fan_out in zip(arch.layer_widths[:-1], arch.layer_widths[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -310,14 +308,10 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params), np.empty_like(params))
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    learning_rate: float = 1e-3,
-) -> None:
-    """One in-place Adam update with bias-corrected moments, with betas
-    ``ADAM_BETA1``, ``ADAM_BETA2`` and epsilon ``ADAM_EPS``.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One in-place Adam update with bias-corrected moments, with step size
+    ``LEARNING_RATE``, betas ``ADAM_BETA1``, ``ADAM_BETA2`` and epsilon
+    ``ADAM_EPS``.
 
     Uses the efficient form of Kingma & Ba (arXiv 1412.6980, Sec. 2): the
     bias corrections fold into the step size ``alpha_t`` and the epsilon
@@ -330,7 +324,7 @@ def adam_step(
     state.t += 1
     t = state.t
     root_correction2 = np.sqrt(1 - ADAM_BETA2**t)
-    alpha_t = learning_rate * root_correction2 / (1 - ADAM_BETA1**t)
+    alpha_t = LEARNING_RATE * root_correction2 / (1 - ADAM_BETA1**t)
     eps_hat = ADAM_EPS * root_correction2
     g, m, v, s = grads, state.m, state.v, state.scratch
     m *= ADAM_BETA1
@@ -348,8 +342,8 @@ def adam_step(
 
 
 def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
-    """Train a model of ``arch`` on ``train_set`` (images and labels),
-    shuffling the examples every epoch.
+    """Train a model of ``arch`` on ``train_set`` (images and labels) in
+    minibatches of ``BATCH_SIZE``, shuffling the examples every epoch.
 
     Fully deterministic for a fixed ``cfg.rng_seed``. Raises
     :class:`TrainingDivergedError` if the loss ever becomes non-finite.
@@ -362,8 +356,8 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
     n = x.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for step, start in enumerate(range(0, n, cfg.batch_size)):
-            sel = order[start : start + cfg.batch_size]
+        for step, start in enumerate(range(0, n, BATCH_SIZE)):
+            sel = order[start : start + BATCH_SIZE]
             masks = (
                 sample_dropout_masks(arch, sel.size, rng) if arch.dropout_rate > 0 else None
             )
@@ -372,7 +366,7 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch}, step {step}"
                 )
-            adam_step(model.params, grads, state, learning_rate=cfg.learning_rate)
+            adam_step(model.params, grads, state)
     return model
 
 

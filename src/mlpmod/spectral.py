@@ -269,17 +269,15 @@ def kmeans_single(
     return labels, cost
 
 
-def kmeans(
-    points: np.ndarray, n_clusters: int, rng: np.random.Generator | int | None = 0
-) -> tuple[np.ndarray, float]:
-    """Best of ``KMEANS_RESTARTS`` k-means runs; deterministic for a fixed seed.
+def kmeans(points: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, float]:
+    """Best of ``KMEANS_RESTARTS`` k-means runs, all drawing from one
+    generator seeded with ``seed``.
 
     The restart with the lowest within-cluster sum of squared distances wins,
     unless an earlier one is within 1e-12 relative of its cost. Clusters are
     numbered in the order of their first point.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(seed)
     best_labels, best_cost = None, np.inf
     for _ in range(KMEANS_RESTARTS):
         labels, cost = kmeans_single(points, n_clusters, rng)
@@ -341,7 +339,7 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
         sub = a[np.ix_(kept, kept)]
         _, vectors = smallest_eigenvectors(normalized_laplacian(sub), config.k)
     embedding = row_normalize(vectors)
-    sub_labels, cost = kmeans(embedding, config.k, rng=config.rng_seed)
+    sub_labels, cost = kmeans(embedding, config.k, config.rng_seed)
     score = ncut(sub, sub_labels, config.k)
     labels = np.full(deg.size, -1, dtype=np.int64)
     labels[kept] = sub_labels

@@ -120,8 +120,7 @@ def _real_grid(tmp_path):
         DATA_DIR,
         out_dir,
         seeds=SEEDS,
-        train_cfg=TrainConfig(),
-        spectral=SpectralConfig(k=4, rng_seed=0),
+        epochs=20,
     )
     if result.failures:
         raise RuntimeError(f"grid cells failed: {result.failures}")

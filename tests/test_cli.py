@@ -10,7 +10,7 @@ from mlpmod import cli
 from mlpmod.checkpoint import save_checkpoint
 from mlpmod.data import SPLIT_FILES, make_synthetic_dataset, write_idx_images, write_idx_labels
 from mlpmod.harness import ExperimentReport, run_experiment, run_grid
-from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
+from mlpmod.mlp import MlpArchitecture, init_model
 
 from conftest import SMOKE_WIDTHS, smoke_config
 
@@ -70,7 +70,7 @@ def test_missing_checkpoint_exit_code_2(tmp_path):
 
 def test_spearman_without_data_dir_is_usage_error(tmp_path):
     ckpt = tmp_path / "model.mlpc"
-    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0)
+    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0))
     save_checkpoint(model, ckpt)
     proc = run_cli(
         "analyze", "--checkpoint", str(ckpt), "--method", "spearman",
@@ -82,7 +82,7 @@ def test_spearman_without_data_dir_is_usage_error(tmp_path):
 
 def test_degenerate_checkpoint_exit_code_3(tmp_path):
     # all-zero weights: every node has zero degree, clustering cannot start
-    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0)
+    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0))
     for w in model.weights:
         w[:] = 0.0
     ckpt = tmp_path / "zero.mlpc"
@@ -102,7 +102,9 @@ def test_degenerate_checkpoint_exit_code_3(tmp_path):
 )
 def test_k_above_the_kept_nodes_is_data_error(smoke_data_dir, tmp_path, method, k, n_kept):
     ckpt = tmp_path / "small.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 8, 10)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 8, 10)), np.random.default_rng(0)), ckpt
+    )
     proc = run_cli(
         "analyze", "--checkpoint", str(ckpt), "--method", method, "--k", str(k),
         "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
@@ -112,7 +114,7 @@ def test_k_above_the_kept_nodes_is_data_error(smoke_data_dir, tmp_path, method, 
 
 
 def test_non_finite_checkpoint_is_data_error(tmp_path):
-    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0)
+    model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0))
     model.weights[0][0, 0] = np.nan
     ckpt = tmp_path / "nan.mlpc"
     save_checkpoint(model, ckpt)
@@ -127,7 +129,9 @@ def test_non_finite_checkpoint_is_data_error(tmp_path):
 @pytest.mark.parametrize("method", ["weights", "spearman"])
 def test_checkpoint_data_width_mismatch_is_data_error(smoke_data_dir, tmp_path, method):
     ckpt = tmp_path / "narrow.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(100, 8, 10)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(100, 8, 10)), np.random.default_rng(0)), ckpt
+    )
     proc = run_cli(
         "analyze", "--checkpoint", str(ckpt), "--method", method,
         "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
@@ -141,7 +145,9 @@ def test_checkpoint_data_width_mismatch_is_data_error(smoke_data_dir, tmp_path, 
 def test_labels_beyond_the_output_layer_are_data_error(smoke_data_dir, tmp_path, method):
     # the smoke test split holds labels 0..9, more than 5 output neurons can name
     ckpt = tmp_path / "five_classes.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 5)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 5)), np.random.default_rng(0)), ckpt
+    )
     proc = run_cli(
         "analyze", "--checkpoint", str(ckpt), "--method", method,
         "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
@@ -154,7 +160,9 @@ def test_labels_beyond_the_output_layer_are_data_error(smoke_data_dir, tmp_path,
 
 def test_output_path_under_regular_file_is_data_error(tmp_path):
     ckpt = tmp_path / "model.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0)), ckpt
+    )
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
     proc = run_cli(
@@ -190,7 +198,9 @@ def test_analyze_output_under_regular_file_fails_before_analysis(
     monkeypatch.setattr(cli, "load_splits", too_late)
     monkeypatch.setattr(cli, "analyze_checkpoint", too_late)
     ckpt = tmp_path / "model.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0)), ckpt
+    )
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
     code = cli.main([
@@ -210,7 +220,9 @@ def test_analyze_too_few_test_examples_is_data_error(tmp_path, capsys, n_test, m
     write_idx_images(data_dir / images_name, rng.integers(0, 256, (n_test, 784)))
     write_idx_labels(data_dir / labels_name, rng.integers(0, 10, n_test))
     ckpt = tmp_path / "model.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0)), ckpt
+    )
     code = cli.main([
         "analyze", "--checkpoint", str(ckpt), "--method", method,
         "--data-dir", str(data_dir), "--out", str(tmp_path / "out"),
@@ -283,7 +295,7 @@ def test_report_rewrites_the_grid_tables_byte_for_byte(tmp_path, capsys, n_test)
     make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=n_test, seed=0)
     grid = tmp_path / "grid"
     run_grid(
-        tmp_path, grid, seeds=(0, 1), train_cfg=TrainConfig(epochs=1),
+        tmp_path, grid, seeds=(0, 1), epochs=1,
         datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
     )
     assert cli.main(["report", "--in", str(grid / "reports")]) == 0, capsys.readouterr().err
@@ -303,7 +315,9 @@ def test_well_typed_report_renders(tmp_path):
 
 def test_k_below_two_is_usage_error(tmp_path):
     ckpt = tmp_path / "model.mlpc"
-    save_checkpoint(init_model(MlpArchitecture(layer_widths=(784, 8, 10)), 0), ckpt)
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0)), ckpt
+    )
     proc = run_cli(
         "analyze", "--checkpoint", str(ckpt), "--method", "weights", "--k", "1",
         "--out", str(tmp_path),

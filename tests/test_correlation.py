@@ -247,12 +247,15 @@ def test_table_size_must_match_architecture():
 def test_adjacency_ranks_a_float64_table_in_place():
     rng = np.random.default_rng(12)
     table = rng.standard_normal((7, 9))
+    expected = reference_standardized_rank_rows(table)
     fortran = np.asfortranarray(table)
-    from_copy = build_correlation_adjacency(fortran, (2, 3, 2))
-    assert np.array_equal(fortran, table)  # another layout is copied, not ranked
+    from_fortran = build_correlation_adjacency(fortran, (2, 3, 2))
+    assert fortran.tobytes() == expected.tobytes()  # any layout is ranked in place
     in_place = build_correlation_adjacency(table, (2, 3, 2))
-    assert table.tobytes() == reference_standardized_rank_rows(fortran).tobytes()
-    assert in_place.dense().tobytes() == from_copy.dense().tobytes()
+    assert table.tobytes() == expected.tobytes()
+    assert in_place.dense().tobytes() == from_fortran.dense().tobytes()
+    with pytest.raises(ValueError, match="float64"):
+        build_correlation_adjacency(rng.standard_normal((7, 9)).astype(np.float32), (2, 3, 2))
 
 
 def test_standardized_rows_unit_norm_or_zero():
@@ -311,7 +314,7 @@ def test_standardized_ranks_reject_bad_tables():
 
 
 def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
-    model = init_model(MlpArchitecture(layer_widths=SMOKE_WIDTHS), 0)
+    model = init_model(MlpArchitecture(layer_widths=SMOKE_WIDTHS), np.random.default_rng(0))
     table = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
     assert np.any(table[784:] == 0.0)  # relu zeros tie in the hidden rows
     z = reference_standardized_rank_rows(table)

@@ -1,3 +1,4 @@
+import gzip
 import struct
 
 import numpy as np
@@ -40,7 +41,8 @@ def test_label_round_trip(tmp_path):
 
 def test_gzip_transparency(fixture_images, tmp_path):
     path = tmp_path / "images-idx3-ubyte.gz"
-    write_idx_images(path, fixture_images, compress=True)
+    write_idx_images(path, fixture_images)
+    path.write_bytes(gzip.compress(path.read_bytes()))
     assert path.read_bytes()[:2] == b"\x1f\x8b"
     np.testing.assert_array_equal(load_idx_images(path), fixture_images)
 
@@ -90,7 +92,8 @@ def _bad_crc(raw):
 @pytest.mark.parametrize("damage", [_truncated, _corrupt_deflate, _bad_crc])
 def test_corrupt_gzip_file_is_data_error_naming_it(fixture_images, tmp_path, damage):
     path = tmp_path / "t10k-images-idx3-ubyte.gz"
-    write_idx_images(path, fixture_images, compress=True)
+    write_idx_images(path, fixture_images)
+    path.write_bytes(gzip.compress(path.read_bytes()))
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(DataError, match="t10k-images-idx3-ubyte.gz: corrupt gzip file"):
         load_idx_images(path)
@@ -164,6 +167,9 @@ def test_synthetic_dataset_loads_under_its_own_name(tmp_path):
 
 
 def test_synthetic_dataset_gzip_variant(tmp_path):
-    make_synthetic_dataset(tmp_path, name="smokegz", n_train=5, n_test=5, compress=True)
+    directory = make_synthetic_dataset(tmp_path, name="smokegz", n_train=5, n_test=5)
+    for path in list(directory.iterdir()):
+        path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
+        path.unlink()
     dataset = load_dataset("smokegz", tmp_path)
     assert len(dataset.train) == 5

@@ -47,7 +47,7 @@ def test_full_architecture_both_methods(full_shape_mnist_dir, tmp_path):
 @pytest.mark.slow
 def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir, monkeypatch):
     arch = MlpArchitecture()
-    model = init_model(arch, 0)
+    model = init_model(arch, np.random.default_rng(0))
     test = load_splits(full_shape_mnist_dir / "mnist", ["test"])["test"]
     graphs = {
         "weights": build_weight_adjacency(model.weights, arch.layer_widths),

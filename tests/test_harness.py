@@ -242,7 +242,7 @@ def test_grid_records_empty_test_split_as_cell_failure(tmp_path):
     result = run_grid(
         tmp_path,
         tmp_path / "out",
-        train_cfg=TrainConfig(epochs=1),
+        epochs=1,
         datasets=("smoke",),
         layer_widths=SMOKE_WIDTHS,
     )
@@ -288,8 +288,7 @@ def test_run_grid_on_synthetic(smoke_data_dir, tmp_path):
         smoke_data_dir,
         tmp_path,
         seeds=(0, 1),
-        train_cfg=TrainConfig(epochs=1),
-        spectral=SpectralConfig(k=4, rng_seed=0),
+        epochs=1,
         datasets=("smoke",),
         layer_widths=SMOKE_WIDTHS,
     )
@@ -319,7 +318,7 @@ def test_grid_continues_after_cell_failures(tmp_path, caplog):
             tmp_path / "missing-data",
             tmp_path / "out",
             seeds=(0,),
-            train_cfg=TrainConfig(epochs=1),
+            epochs=1,
             datasets=("smoke",),
             layer_widths=SMOKE_WIDTHS,
         )
@@ -339,8 +338,7 @@ def test_grid_killed_between_checkpoint_and_report_reruns_as_clean(
 ):
     grid = dict(
         seeds=(0,),
-        train_cfg=TrainConfig(epochs=1),
-        spectral=SpectralConfig(k=4, rng_seed=0),
+        epochs=1,
         datasets=("smoke",),
         layer_widths=SMOKE_WIDTHS,
     )
@@ -386,7 +384,7 @@ def test_grid_whose_spearman_cells_all_fail_writes_no_spearman_table(tmp_path):
     result = run_grid(
         tmp_path,
         tmp_path / "out",
-        train_cfg=TrainConfig(epochs=1),
+        epochs=1,
         datasets=("smoke",),
         layer_widths=SMOKE_WIDTHS,
     )
@@ -401,6 +399,14 @@ def test_grid_rejects_repeated_seed_before_any_work(smoke_data_dir, tmp_path, mo
     monkeypatch.setattr(harness, "train", _train_forbidden)
     with pytest.raises(ValueError, match="seed 0 is repeated"):
         run_grid(smoke_data_dir, tmp_path / "out", seeds=(0, 1, 0), datasets=("smoke",),
+                 layer_widths=SMOKE_WIDTHS)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", [(), (0, -1)], ids=["empty", "negative"])
+def test_grid_rejects_bad_seeds_before_any_file_write(smoke_data_dir, tmp_path, seeds):
+    with pytest.raises(ValueError, match="seed"):
+        run_grid(smoke_data_dir, tmp_path / "out", seeds=seeds, datasets=("smoke",),
                  layer_widths=SMOKE_WIDTHS)
     assert not (tmp_path / "out").exists()
 

@@ -6,6 +6,7 @@ from mlpmod.checkpoint import load_checkpoint, save_checkpoint
 from mlpmod.data import Dataset, LabeledImageSet
 from mlpmod.mlp import (
     _activate,
+    LEARNING_RATE,
     AdamState,
     MlpArchitecture,
     MlpModel,
@@ -246,22 +247,23 @@ def test_adam_zero_gradient_leaves_parameters():
 
 
 def test_adam_first_step_magnitude():
-    lr = 1e-3
+    lr = LEARNING_RATE
     params = np.array([0.0])
     state = AdamState.for_params(params)
-    adam_step(params, np.array([1.0]), state, learning_rate=lr)
+    adam_step(params, np.array([1.0]), state)
     # bias correction makes the first update -lr * 1/(1 + eps) ~ -lr
     assert params[0] == pytest.approx(-lr, rel=1e-6)
 
 
-def test_adam_descends_quadratic():
+def test_adam_descends_quadratic(monkeypatch):
+    monkeypatch.setattr(mlpmod.mlp, "LEARNING_RATE", 0.05)
     params = np.array([1.0])
     state = AdamState.for_params(params)
     values = []
     for _ in range(100):
         x = params[0]
         values.append(x * x)
-        adam_step(params, np.array([2.0 * x]), state, learning_rate=0.05)
+        adam_step(params, np.array([2.0 * x]), state)
     assert values[-1] < values[0]
     assert params[0] ** 2 < 0.1
 
@@ -279,9 +281,8 @@ def test_adam_matches_textbook_reference_over_flat_buffer():
         # gradients spanning several magnitudes, some exactly zero
         grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
         grads[1][0] = 0.0
-        reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr=1e-2)
-        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state,
-                  learning_rate=1e-2)
+        reference_adam_step(ref_params, grads, ref_m, ref_v, step, lr=LEARNING_RATE)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
     assert state.t == 300
     for i, p in enumerate(ref_params):
         np.testing.assert_allclose(
@@ -316,7 +317,7 @@ def separable_dataset(n=400, seed=0):
 def test_train_separable_toy_reaches_99_percent():
     dataset = separable_dataset()
     arch = MlpArchitecture(layer_widths=(4, 8, 2), activation="relu")
-    cfg = TrainConfig(epochs=5, batch_size=32, rng_seed=0, learning_rate=0.01)
+    cfg = TrainConfig(epochs=80, rng_seed=0)
     model = train(dataset.train, arch, cfg)
     assert evaluate_accuracy(model, dataset.test.images, dataset.test.labels) >= 0.99
     for w in model.weights:
@@ -326,7 +327,7 @@ def test_train_separable_toy_reaches_99_percent():
 def test_train_deterministic_same_seed():
     dataset = separable_dataset(n=120, seed=1)
     arch = MlpArchitecture(layer_widths=(4, 6, 2), activation="sigmoid", dropout_rate=0.5)
-    cfg = TrainConfig(epochs=2, batch_size=16, rng_seed=42)
+    cfg = TrainConfig(epochs=2, rng_seed=42)
     model_a = train(dataset.train, arch, cfg)
     model_b = train(dataset.train, arch, cfg)
     for w_a, w_b in zip(model_a.weights, model_b.weights):
@@ -338,7 +339,7 @@ def test_train_deterministic_same_seed():
 def test_trained_model_views_round_trip_bit_exact(tmp_path):
     dataset = separable_dataset(n=120, seed=4)
     arch = MlpArchitecture(layer_widths=(4, 5, 3, 2), activation="relu")
-    model = train(dataset.train, arch, TrainConfig(epochs=2, batch_size=16, rng_seed=6))
+    model = train(dataset.train, arch, TrainConfig(epochs=2, rng_seed=6))
     params = model.weights + model.biases
     # one shared parameter buffer behind every weight and bias
     buffer = params[0].base
@@ -352,11 +353,12 @@ def test_trained_model_views_round_trip_bit_exact(tmp_path):
     assert (tmp_path / "again.mlpc").read_bytes() == path.read_bytes()
 
 
-def test_train_divergence_detected():
+def test_train_divergence_detected(monkeypatch):
+    monkeypatch.setattr(mlpmod.mlp, "LEARNING_RATE", 1e200)
     dataset = separable_dataset(n=64, seed=2)
     # two hidden layers so an absurd step overflows the forward products
     arch = MlpArchitecture(layer_widths=(4, 8, 8, 2), activation="relu")
-    cfg = TrainConfig(epochs=3, batch_size=16, rng_seed=0, learning_rate=1e200)
+    cfg = TrainConfig(epochs=3, rng_seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
         train(dataset.train, arch, cfg)
 
@@ -372,7 +374,7 @@ def test_evaluate_accuracy_counts_argmax_hits():
 def test_recorded_logits_give_evaluate_accuracy():
     # several batches of EVAL_BATCH examples
     rng = np.random.default_rng(12)
-    model = init_model(MlpArchitecture(layer_widths=(20, 16, 16, 4)), 0)
+    model = init_model(MlpArchitecture(layer_widths=(20, 16, 16, 4)), np.random.default_rng(0))
     x = rng.random((4500, 20))
     labels = rng.integers(0, 4, size=4500)
     logits = record_activations(model, x)[-4:].T
@@ -461,5 +463,3 @@ def test_model_rejects_parameters_of_other_shapes():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)

@@ -199,7 +199,7 @@ def test_row_normalize_random_norms():
 
 def test_kmeans_square_corners():
     points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    labels, cost = kmeans(points, 4, rng=0)
+    labels, cost = kmeans(points, 4, seed=0)
     assert cost == pytest.approx(0.0, abs=1e-12)
     assert len(set(labels.tolist())) == 4
 
@@ -211,14 +211,14 @@ def test_kmeans_two_separated_clouds():
     right = rng.normal(0.0, radius, size=(25, 3)) + 10.0  # separation >= 100x radius
     points = np.vstack([left, right])
     truth = np.array([0] * 20 + [1] * 25)
-    labels, _ = kmeans(points, 2, rng=7)
+    labels, _ = kmeans(points, 2, seed=7)
     assert same_partition(truth, labels)
 
 
 def test_kmeans_duplicate_points_repair():
     # n == k with one duplicate pair forces the empty-cluster repair branch
     points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    labels, cost = kmeans(points, 4, rng=0)
+    labels, cost = kmeans(points, 4, seed=0)
     assert sorted(np.bincount(labels, minlength=4).tolist()) == [1, 1, 1, 1]
     assert cost == pytest.approx(0.0, abs=1e-12)
 
@@ -229,14 +229,14 @@ def test_kmeans_repair_keeps_every_cluster_it_fills():
     # the previous repair filled, and a restart would end with an empty
     # cluster (a mean-of-empty-slice warning) and a NaN cost
     points = np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 5)
-    labels, cost = kmeans(points, 4, rng=0)
+    labels, cost = kmeans(points, 4, seed=0)
     assert np.bincount(labels, minlength=4).min() >= 1
     assert cost == 0.0
 
 
 def test_kmeans_too_few_points():
     with pytest.raises(ValueError, match="cannot make"):
-        kmeans(np.zeros((2, 2)), 3, rng=0)
+        kmeans(np.zeros((2, 2)), 3, seed=0)
 
 
 def test_kmeans_numbers_clusters_by_their_first_point():
@@ -244,7 +244,7 @@ def test_kmeans_numbers_clusters_by_their_first_point():
     centers = np.array([[5.0, 5.0], [-5.0, 5.0], [0.0, -5.0]])
     points = centers[rng.integers(0, 3, size=60)] + 0.1 * rng.standard_normal((60, 2))
     for seed in range(5):
-        labels, _ = kmeans(points, 3, rng=seed)
+        labels, _ = kmeans(points, 3, seed=seed)
         _, first = np.unique(labels, return_index=True)
         assert np.all(np.diff(first) > 0) and first[0] == 0
 
@@ -258,7 +258,7 @@ def test_kmeans_keeps_the_earliest_restart_within_rounding(monkeypatch):
         return np.array([1, 0, 0]), next(costs)
 
     monkeypatch.setattr(mlpmod.spectral, "kmeans_single", scripted_restart)
-    labels, cost = kmeans(np.zeros((3, 1)), 2, rng=0)
+    labels, cost = kmeans(np.zeros((3, 1)), 2, seed=0)
     assert cost == 0.5
     np.testing.assert_array_equal(labels, [0, 1, 1])
 
@@ -269,8 +269,8 @@ def test_kmeans_deterministic_and_monotone():
         points = rng.standard_normal((int(rng.integers(5, 40)), 3))
         k = int(rng.integers(2, 5))
         # kmeans_single raises ArithmeticError if its cost ever increases
-        labels_a, cost_a = kmeans(points, k, rng=trial)
-        labels_b, cost_b = kmeans(points, k, rng=trial)
+        labels_a, cost_a = kmeans(points, k, seed=trial)
+        labels_b, cost_b = kmeans(points, k, seed=trial)
         assert cost_a == cost_b
         np.testing.assert_array_equal(labels_a, labels_b)
         assert np.bincount(labels_a, minlength=k).min() >= 1
