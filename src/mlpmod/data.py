@@ -61,9 +61,12 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class LabeledImageSet:
-    """Images as float rows in [0, 1] plus integer class labels."""
+    """Images as the IDX file's uint8 pixel rows plus integer class labels.
 
-    images: np.ndarray  # (m, 784) float64
+    The pixels take an eighth of the memory of a float64 copy; the model
+    scales each batch to [0, 1] as it takes it (``mlp._check_batch``)."""
+
+    images: np.ndarray  # (m, 784) uint8
     labels: np.ndarray  # (m,) int64
     split: str
 
@@ -159,8 +162,9 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def load_split_files(images_path, labels_path, split: str) -> LabeledImageSet:
-    """Load one split from explicit image/label paths, normalizing to [0, 1]."""
-    images = load_idx_images(images_path).astype(np.float64) / 255.0
+    """Load one split from explicit image/label paths: the pixels as the
+    file holds them (uint8) and the labels as int64."""
+    images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path).astype(np.int64)
     return LabeledImageSet(images=images, labels=labels, split=split)
 

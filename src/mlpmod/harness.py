@@ -110,6 +110,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        self.architecture  # built, and so checked, with the config
 
     @property
     def architecture(self) -> MlpArchitecture:
@@ -445,8 +446,9 @@ def run_grid(
     recorded and skipped; the rest of the grid continues. Writes
     per-experiment JSON, the tables and grid CSV of ``write_tables``, and a
     summary JSON with the activation-ordering and dropout-effect checks. An
-    empty, repeated or negative seed, or a bad ``epochs``, raises
-    ``ValueError`` before any training or file write.
+    empty, repeated or negative seed, a bad ``epochs`` or bad
+    ``layer_widths`` raises ``ValueError`` before any training or file
+    write.
     """
     seeds = list(seeds)
     if not seeds:

@@ -10,10 +10,15 @@ Conventions used throughout:
   ``params`` in checkpoint order (W0, b0, W1, b1, ...);
 * dropout is inverted (mask then scale by ``1/(1-p)``) and applies to hidden
   layers only, so evaluation uses the trained weights unchanged;
-* recorded activations are: input neurons = the raw (normalized) inputs,
-  hidden neurons = post-nonlinearity outputs, output neurons = logits;
+* a batch of uint8 pixels is scaled by ``1/255`` as it enters the first
+  layer, one batch at a time, and any other batch is taken as float64 as
+  it is;
+* recorded activations are: input neurons = the inputs as the first layer
+  sees them (pixels in [0, 1]), hidden neurons = post-nonlinearity
+  outputs, output neurons = logits;
 * training runs minibatches of ``BATCH_SIZE`` through Adam at step size
   ``LEARNING_RATE``; a ``TrainConfig`` sets only the epochs and the seed;
+  Adam updates the parameters in slices of ``ADAM_BLOCK`` elements;
 * evaluation runs the examples through in batches of ``EVAL_BATCH``.
 """
 
@@ -54,6 +59,10 @@ LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# elements per slice of an Adam step: the 12 passes of a step run over one
+# slice of every buffer while it is in cache, then move to the next
+ADAM_BLOCK = 32768
 
 # examples per forward pass of evaluate_accuracy and record_activations
 EVAL_BATCH = 2048
@@ -194,12 +203,17 @@ def sample_dropout_masks(
 
 
 def _check_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
+    """The batch as the float64 rows the first layer takes: uint8 pixels
+    divided by 255, any other input as float64, which must be finite."""
+    x = np.asarray(inputs)
     if x.ndim != 2 or x.shape[1] != model.architecture.layer_widths[0]:
         raise ValueError(
             f"batch must have shape (m, {model.architecture.layer_widths[0]}), "
             f"got {x.shape}"
         )
+    if x.dtype == np.uint8:
+        return x / 255.0
+    x = x.astype(np.float64, copy=False)
     if not np.all(np.isfinite(x)):
         raise ValueError("batch contains non-finite values")
     return x
@@ -294,9 +308,9 @@ def loss_and_gradients(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, the step counter and a scratch
-    array, each shaped like the parameter array, so that a step allocates
-    nothing."""
+    """First/second moment accumulators shaped like the flat parameter
+    array, the step counter and a scratch array of one ``ADAM_BLOCK``, so
+    that a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
@@ -305,45 +319,56 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(params), np.zeros_like(params), np.empty_like(params))
+        return cls(
+            np.zeros_like(params), np.zeros_like(params), np.empty(min(params.size, ADAM_BLOCK))
+        )
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
-    """One in-place Adam update with bias-corrected moments, with step size
-    ``LEARNING_RATE``, betas ``ADAM_BETA1``, ``ADAM_BETA2`` and epsilon
-    ``ADAM_EPS``.
+    """One in-place Adam update of the flat ``params`` with bias-corrected
+    moments, with step size ``LEARNING_RATE``, betas ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and epsilon ``ADAM_EPS``.
 
     Uses the efficient form of Kingma & Ba (arXiv 1412.6980, Sec. 2): the
     bias corrections fold into the step size ``alpha_t`` and the epsilon
     ``eps_hat``, so the update is ``p -= alpha_t * m / (sqrt(v) + eps_hat)``.
+    The update is elementwise, so running it one ``ADAM_BLOCK`` slice at a
+    time, while the slice stays in cache, gives the bits of one whole-array
+    pass.
     """
-    if not params.shape == grads.shape == state.m.shape:
+    if not params.shape == grads.shape == state.m.shape == (params.size,):
         raise ValueError(
-            f"params {params.shape}, grads {grads.shape} and state {state.m.shape} shapes differ"
+            f"params {params.shape}, grads {grads.shape} and state {state.m.shape} "
+            "shapes differ or are not flat"
         )
     state.t += 1
     t = state.t
     root_correction2 = np.sqrt(1 - ADAM_BETA2**t)
     alpha_t = LEARNING_RATE * root_correction2 / (1 - ADAM_BETA1**t)
     eps_hat = ADAM_EPS * root_correction2
-    g, m, v, s = grads, state.m, state.v, state.scratch
-    m *= ADAM_BETA1
-    np.multiply(g, 1 - ADAM_BETA1, out=s)
-    m += s
-    v *= ADAM_BETA2
-    np.multiply(g, 1 - ADAM_BETA2, out=s)
-    s *= g
-    v += s
-    np.sqrt(v, out=s)
-    s += eps_hat
-    np.divide(m, s, out=s)
-    s *= alpha_t
-    params -= s
+    for start in range(0, params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g, m, v = params[block], grads[block], state.m[block], state.v[block]
+        s = state.scratch[: p.size]
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=s)
+        s *= g
+        v += s
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= alpha_t
+        p -= s
 
 
 def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
     """Train a model of ``arch`` on ``train_set`` (images and labels) in
-    minibatches of ``BATCH_SIZE``, shuffling the examples every epoch.
+    minibatches of ``BATCH_SIZE``, shuffling the examples every epoch. Each
+    minibatch gathers its rows of ``images`` as they are stored, uint8
+    pixels included, and ``loss_and_gradients`` scales them.
 
     Fully deterministic for a fixed ``cfg.rng_seed``. Raises
     :class:`TrainingDivergedError` if the loss ever becomes non-finite.
@@ -371,7 +396,8 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
 
 
 def evaluate_accuracy(model: MlpModel, images: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of examples whose argmax logit matches the label."""
+    """Fraction of examples whose argmax logit matches the label; the
+    images are scaled one ``EVAL_BATCH`` at a time."""
     logits = [
         forward(model, images[start : start + EVAL_BATCH])
         for start in range(0, images.shape[0], EVAL_BATCH)
@@ -387,15 +413,18 @@ def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def record_activations(model: MlpModel, images: np.ndarray) -> np.ndarray:
     """Activation table over ``images``, C-order ``(n_neurons, m)``: one row
     per neuron (inputs, then hidden layers, then output logits), one column
-    per example, so each neuron's activation vector is contiguous."""
-    x = _check_batch(model, images)
+    per example, so each neuron's activation vector is contiguous. The
+    images are scaled one ``EVAL_BATCH`` at a time, and each scaled chunk
+    fills its columns of the input rows."""
+    images = np.asarray(images)
     widths = model.architecture.layer_widths
-    table = np.empty((sum(widths), x.shape[0]), dtype=np.float64)
-    bounds = np.cumsum(widths)
-    table[: widths[0]] = x.T
-    for start in range(0, x.shape[0], EVAL_BATCH):
+    table = np.empty((sum(widths), len(images)), dtype=np.float64)
+    bounds = np.cumsum((0,) + widths)
+    # one chunk even of no examples, so that every input gets its checks
+    for start in range(0, max(len(images), 1), EVAL_BATCH):
         examples = slice(start, start + EVAL_BATCH)
-        logits, hidden, _, _ = _forward_cached(model, x[examples], None)
-        for layer, act in enumerate(hidden + [logits]):
+        x = _check_batch(model, images[examples])
+        logits, hidden, _, _ = _forward_cached(model, x, None)
+        for layer, act in enumerate([x] + hidden + [logits]):
             table[bounds[layer] : bounds[layer + 1], examples] = act.T
     return table

@@ -118,15 +118,24 @@ def test_missing_file_error_names_path(tmp_path):
         load_idx_images(tmp_path / "absent")
 
 
-def test_load_split_normalizes_to_unit_interval(fixture_images, tmp_path):
+def test_load_split_keeps_the_file_pixels_as_uint8(fixture_images, tmp_path):
     write_idx_images(tmp_path / "imgs", fixture_images)
     write_idx_labels(tmp_path / "labs", np.array([0, 9], dtype=np.uint8))
     split = load_split_files(tmp_path / "imgs", tmp_path / "labs", "test")
-    assert split.images.min() >= 0.0
-    assert split.images.max() <= 1.0
-    assert split.images.dtype == np.float64
+    assert split.images.dtype == np.uint8
+    assert split.images.shape == (2, 784)
+    assert split.images.tobytes() == (tmp_path / "imgs").read_bytes()[16:]
+    assert split.labels.dtype == np.int64
     assert split.labels.tolist() == [0, 9]
     assert len(split) == 2
+
+
+@pytest.mark.slow
+def test_full_size_splits_hold_one_byte_per_pixel(full_shape_mnist_dir):
+    # a float64 copy of the pixels would be 8 bytes each
+    dataset = load_dataset("mnist", full_shape_mnist_dir)
+    assert dataset.train.images.nbytes == 60000 * 784
+    assert dataset.test.images.nbytes == 10000 * 784
 
 
 def test_count_mismatch_between_images_and_labels(fixture_images, tmp_path):

@@ -411,6 +411,13 @@ def test_grid_rejects_bad_seeds_before_any_file_write(smoke_data_dir, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_grid_rejects_bad_layer_widths_before_any_file_write(smoke_data_dir, tmp_path):
+    with pytest.raises(ValueError, match="layer widths must be positive"):
+        run_grid(smoke_data_dir, tmp_path / "out", datasets=("smoke",),
+                 layer_widths=(784, 0, 10), epochs=1)
+    assert not (tmp_path / "out").exists()
+
+
 def _fake_report(method, dataset, activation, dropout, seed, ncut_value, acc=90.0):
     return ExperimentReport(
         dataset=dataset,

@@ -6,6 +6,10 @@ from mlpmod.checkpoint import load_checkpoint, save_checkpoint
 from mlpmod.data import Dataset, LabeledImageSet
 from mlpmod.mlp import (
     _activate,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     LEARNING_RATE,
     AdamState,
     MlpArchitecture,
@@ -50,6 +54,27 @@ def reference_adam_step(params, grads, m_list, v_list, t, lr=1e-3, beta1=0.9,
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def whole_array_adam_step(params, grads, m, v, scratch, t):
+    """The 12 in-place passes of ``adam_step`` over whole buffers, the form
+    it ran before it stepped in blocks; ``t`` is the 1-based step number."""
+    root_correction2 = np.sqrt(1 - ADAM_BETA2**t)
+    alpha_t = LEARNING_RATE * root_correction2 / (1 - ADAM_BETA1**t)
+    eps_hat = ADAM_EPS * root_correction2
+    g, s = grads, scratch
+    m *= ADAM_BETA1
+    np.multiply(g, 1 - ADAM_BETA1, out=s)
+    m += s
+    v *= ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=s)
+    s *= g
+    v += s
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= alpha_t
+    params -= s
 
 
 def make_model(widths, activation="relu", dropout=0.0, seed=0, bias_jitter=0.0):
@@ -290,6 +315,24 @@ def test_adam_matches_textbook_reference_over_flat_buffer():
         )
 
 
+def test_blocked_adam_matches_whole_array_form_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n = 3 * ADAM_BLOCK + 17  # three whole blocks and a partial one
+    params = rng.standard_normal(n)
+    ref_params, ref_m, ref_v, ref_scratch = params.copy(), np.zeros(n), np.zeros(n), np.empty(n)
+    state = AdamState.for_params(params)
+    assert state.scratch.size == ADAM_BLOCK
+    for step in range(1, 26):
+        # gradients spanning several magnitudes, some exactly zero
+        grads = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3, size=n)
+        grads[rng.random(n) < 0.05] = 0.0
+        whole_array_adam_step(ref_params, grads, ref_m, ref_v, ref_scratch, step)
+        adam_step(params, grads, state)
+    np.testing.assert_array_equal(params, ref_params)
+    np.testing.assert_array_equal(state.m, ref_m)
+    np.testing.assert_array_equal(state.v, ref_v)
+
+
 def test_adam_shape_mismatch():
     params = np.zeros(3)
     with pytest.raises(ValueError, match="shape"):
@@ -361,6 +404,29 @@ def test_train_divergence_detected(monkeypatch):
     cfg = TrainConfig(epochs=3, rng_seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
         train(dataset.train, arch, cfg)
+
+
+@pytest.mark.parametrize("activation, dropout", [("relu", 0.0), ("sigmoid", 0.5)])
+def test_uint8_pixels_give_the_bits_of_their_scaled_floats(activation, dropout, monkeypatch):
+    # several evaluation batches, the last one partial
+    monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 128)
+    rng = np.random.default_rng(40)
+    pixels = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
+    floats = pixels.astype(np.float64) / 255.0
+    labels = rng.integers(0, 10, size=300)
+    arch = MlpArchitecture(
+        layer_widths=(784, 32, 16, 10), activation=activation, dropout_rate=dropout
+    )
+    cfg = TrainConfig(epochs=2, rng_seed=3)
+    model, float_model = (
+        train(LabeledImageSet(images=x, labels=labels, split="train"), arch, cfg)
+        for x in (pixels, floats)
+    )
+    assert model.params.tobytes() == float_model.params.tobytes()
+    table = record_activations(model, pixels)
+    np.testing.assert_array_equal(table, record_activations(model, floats))
+    np.testing.assert_array_equal(table[:784], floats.T)
+    assert evaluate_accuracy(model, pixels, labels) == evaluate_accuracy(model, floats, labels)
 
 
 def test_evaluate_accuracy_counts_argmax_hits():
