@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``train``, ``analyze``, ``grid``, ``report``. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure.
+0 success, 1 usage error, 2 data error, 3 numerical failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -137,16 +137,11 @@ def _cmd_grid(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as e:
         raise UsageError(f"bad --seeds value {args.seeds!r}") from e
-    if not seeds:
-        raise UsageError("--seeds must name at least one seed")
-    if min(seeds) < 0:
-        raise UsageError(f"bad --seeds value {args.seeds!r}: seeds must be non-negative")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
-        raise UsageError(f"bad --seeds value {args.seeds!r}: seed {repeated[0]} is repeated")
-    _config(TrainConfig, epochs=args.epochs)  # a bad --epochs is a usage error
     logging.basicConfig(level=logging.INFO, format="%(message)s")  # progress on stderr
-    result = run_grid(args.data_dir, args.out, seeds=seeds, epochs=args.epochs)
+    try:  # run_grid raises ValueError only before it trains or writes anything
+        result = run_grid(args.data_dir, args.out, seeds=seeds, epochs=args.epochs)
+    except ValueError as e:
+        raise UsageError(f"bad --seeds {args.seeds!r} or --epochs {args.epochs}: {e}") from e
     for method, table in result.tables.items():
         print(f"\n[{method}]")
         print(table, end="")
@@ -188,17 +183,15 @@ def _classify(exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # the shell's code for a process stopped by SIGINT
     except Exception as e:
         code = _classify(e)
         kind = "data error" if code == EXIT_DATA else "numerical failure"

@@ -9,6 +9,7 @@ transparently. Nothing is ever downloaded; callers point at files on disk.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -102,46 +103,38 @@ def _read_bytes(path) -> bytes:
     return raw
 
 
+def _read_idx(path, magic: int, kind: str, dims: tuple) -> np.ndarray:
+    """The flat uint8 body of an IDX file, a view of its bytes, once its
+    header holds ``magic``, a count and the sizes ``dims``."""
+    raw = _read_bytes(path)
+    start = 8 + 4 * len(dims)
+    if len(raw) < start:
+        raise DataError(f"{path}: file too short for an IDX {kind} header")
+    found, count, *sizes = struct.unpack(f">{2 + len(dims)}I", raw[:start])
+    if found != magic:
+        raise DataError(
+            f"{path}: magic {found:#010x} is not an IDX {kind} file "
+            f"(expected {magic:#010x})"
+        )
+    if tuple(sizes) != dims:
+        raise DataError(
+            f"{path}: {kind} dimensions {'x'.join(map(str, sizes))}, expected "
+            f"{'x'.join(map(str, dims))}"
+        )
+    expected = start + count * math.prod(dims)
+    if len(raw) != expected:
+        raise DataError(f"{path}: expected {expected} bytes for {count} {kind}s, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=start)
+
+
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into a (count, 784) uint8 array."""
-    raw = _read_bytes(path)
-    if len(raw) < 16:
-        raise DataError(f"{path}: file too short for an IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise DataError(
-            f"{path}: magic {magic:#010x} is not an IDX image file "
-            f"(expected {IMAGE_MAGIC:#010x})"
-        )
-    if (rows, cols) != (IMAGE_SIDE, IMAGE_SIDE):
-        raise DataError(
-            f"{path}: image dimensions {rows}x{cols}, expected "
-            f"{IMAGE_SIDE}x{IMAGE_SIDE}"
-        )
-    expected = 16 + count * rows * cols
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: expected {expected} bytes for {count} images, got {len(raw)}"
-        )
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+    return _read_idx(path, IMAGE_MAGIC, "image", (IMAGE_SIDE, IMAGE_SIDE)).reshape(-1, N_PIXELS)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Parse an IDX label file into a (count,) uint8 array of classes 0..9."""
-    raw = _read_bytes(path)
-    if len(raw) < 8:
-        raise DataError(f"{path}: file too short for an IDX label header")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != LABEL_MAGIC:
-        raise DataError(
-            f"{path}: magic {magic:#010x} is not an IDX label file "
-            f"(expected {LABEL_MAGIC:#010x})"
-        )
-    if len(raw) != 8 + count:
-        raise DataError(
-            f"{path}: expected {8 + count} bytes for {count} labels, got {len(raw)}"
-        )
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
+    labels = _read_idx(path, LABEL_MAGIC, "label", ())
     if labels.size and labels.max() >= N_CLASSES:
         bad = int(labels.max())
         raise DataError(f"{path}: label {bad} outside 0..{N_CLASSES - 1}")

@@ -446,16 +446,11 @@ def run_grid(
     recorded and skipped; the rest of the grid continues. Writes
     per-experiment JSON, the tables and grid CSV of ``write_tables``, and a
     summary JSON with the activation-ordering and dropout-effect checks. An
-    empty, repeated or negative seed, a bad ``epochs`` or bad
-    ``layer_widths`` raises ``ValueError`` before any training or file
-    write.
+    empty grid, a seed or dataset named twice, a negative seed, a bad
+    ``epochs`` or bad ``layer_widths`` raises ``ValueError`` before any
+    training or file write.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must name at least one seed")
-    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
-    if repeated:
-        raise ValueError(f"seed {repeated[0]} is repeated in seeds {seeds}")
+    seeds, datasets = list(seeds), list(datasets)
     cells = itertools.product(datasets, ACTIVATIONS, (False, True), seeds, METHODS)
     configs = [  # all built, and so checked, before the first file write
         ExperimentConfig(
@@ -464,6 +459,12 @@ def run_grid(
         )
         for dataset, activation, dropout, seed, method in cells
     ]
+    if not configs:
+        raise ValueError(f"the grid is empty: seeds {seeds}, datasets {datasets}")
+    for name, values in (("seed", seeds), ("dataset", datasets)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} {repeated[0]!r} is repeated in {name}s {values}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports: list[ExperimentReport] = []
@@ -519,7 +520,7 @@ def render_method_table(reports, method: str) -> str:
             acc = cell["test_accuracy_percent"]
             rows.append(
                 [
-                    _DATASET_DISPLAY.get(dataset, dataset),
+                    "-" if dataset is None else _DATASET_DISPLAY.get(dataset, dataset),
                     _ACTIVATION_DISPLAY.get(activation, activation),
                     "Yes" if dropout else "No",
                     "-" if acc is None else f"{acc:.1f}",

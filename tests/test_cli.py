@@ -313,6 +313,15 @@ def test_well_typed_report_renders(tmp_path):
     assert "2.00" in proc.stdout
 
 
+def test_report_without_a_dataset_renders_a_dash(tmp_path):
+    (tmp_path / "report_analysis.json").write_text(_report_with(dataset=None))
+    proc = run_cli("report", "--in", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[3].split()
+    assert row[:3] == ["-", "ReLU", "No"]
+    assert "weights,,relu,False,0,97.5,1.25" in (tmp_path / "grid.csv").read_text()
+
+
 def test_k_below_two_is_usage_error(tmp_path):
     ckpt = tmp_path / "model.mlpc"
     save_checkpoint(
@@ -328,20 +337,43 @@ def test_k_below_two_is_usage_error(tmp_path):
 
 def test_negative_seed_is_usage_error(tmp_path):
     proc = run_cli(
-        "grid", "--seeds", "0,-1", "--data-dir", str(tmp_path), "--out", str(tmp_path),
+        "grid", "--seeds", "0,-1", "--data-dir", str(tmp_path), "--out", str(tmp_path / "out"),
     )
     assert proc.returncode == 1
-    assert "--seeds" in proc.stderr
+    assert "--seeds '0,-1'" in proc.stderr and "rng_seed must be non-negative" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
-def test_repeated_seed_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_grid", lambda *a, **k: pytest.fail("ran a grid"))
+def test_repeated_seed_is_usage_error(tmp_path, capsys):
     code = cli.main([
-        "grid", "--seeds", "0,1,1", "--data-dir", str(tmp_path), "--out", str(tmp_path),
+        "grid", "--seeds", "0,1,1", "--data-dir", str(tmp_path), "--out", str(tmp_path / "out"),
     ])
     err = capsys.readouterr().err
     assert code == 1
     assert "usage error" in err and "--seeds" in err and "seed 1 is repeated" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--seeds", ","], "the grid is empty"),
+    (["--epochs", "0"], "epochs must be at least 1"),
+], ids=["empty-seeds", "zero-epochs"])
+def test_grid_request_the_library_rejects_is_usage_error(tmp_path, capsys, argv, reason):
+    code = cli.main(["grid", *argv, "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage error: bad --seeds" in err and "--epochs" in err and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_interrupt_exits_130_without_traceback(tmp_path, monkeypatch, capsys):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_grid", interrupt)
+    code = cli.main(["grid", "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_value_error_inside_training_is_numerical_failure(tmp_path, monkeypatch, capsys):

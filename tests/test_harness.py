@@ -397,9 +397,23 @@ def test_grid_whose_spearman_cells_all_fail_writes_no_spearman_table(tmp_path):
 
 def test_grid_rejects_repeated_seed_before_any_work(smoke_data_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "train", _train_forbidden)
-    with pytest.raises(ValueError, match="seed 0 is repeated"):
+    with pytest.raises(ValueError, match=r"^seed 0 is repeated in seeds \[0, 1, 0\]$"):
         run_grid(smoke_data_dir, tmp_path / "out", seeds=(0, 1, 0), datasets=("smoke",),
                  layer_widths=SMOKE_WIDTHS)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("datasets, reason", [
+    (("smoke", "smoke"), "dataset 'smoke' is repeated in datasets ['smoke', 'smoke']"),
+    ((), "the grid is empty: seeds [0], datasets []"),
+], ids=["repeated", "empty"])
+def test_grid_rejects_repeated_or_no_datasets_before_any_work(
+    smoke_data_dir, tmp_path, monkeypatch, datasets, reason
+):
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    with pytest.raises(ValueError) as raised:
+        run_grid(smoke_data_dir, tmp_path / "out", datasets=datasets, layer_widths=SMOKE_WIDTHS)
+    assert str(raised.value) == reason
     assert not (tmp_path / "out").exists()
 
 
