@@ -83,8 +83,9 @@ def _standardize_ranks(x: np.ndarray) -> None:
     # twice the centered mean rank of a group spanning [a, b): a + b - m,
     # with the positive groups shifted past the zero run
     twice_centered = 2 * starts + sizes - m
-    twice_centered[starts >= n_neg] += 2 * n_zero
-    sum_t3_t = int(np.sum(sizes**3 - sizes)) + n_zero**3 - n_zero
+    twice_centered[np.searchsorted(starts, n_neg):] += 2 * n_zero  # starts is sorted
+    # sum(t^3 - t) over all groups, where the nonzero sizes sum to values.size
+    sum_t3_t = int(np.dot(sizes, sizes * sizes)) - values.size + n_zero**3 - n_zero
     # the sum of squared centered ranks is a multiple of 1/4, so dividing the
     # integer 12 times that sum by 12 is exact
     twelve_ss = m**3 - m - sum_t3_t

@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -445,11 +446,15 @@ def run_grid(
     default ``SpectralConfig``, the paper's k = 4. A failing cell is
     recorded and skipped; the rest of the grid continues. Writes
     per-experiment JSON, the tables and grid CSV of ``write_tables``, and a
-    summary JSON with the activation-ordering and dropout-effect checks. An
-    empty grid, a seed or dataset named twice, a negative seed, a bad
-    ``epochs`` or bad ``layer_widths`` raises ``ValueError`` before any
-    training or file write.
+    summary JSON with the activation-ordering and dropout-effect checks.
+    ``seeds`` and ``datasets`` are sequences such as lists or tuples; a
+    string or any other non-sequence, an empty grid, a seed or dataset named
+    twice, a negative seed, a bad ``epochs`` or bad ``layer_widths`` raises
+    ``ValueError`` before any training or file write.
     """
+    for name, values in (("seeds", seeds), ("datasets", datasets)):
+        if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+            raise ValueError(f"{name} must be a sequence such as a list, got {values!r}")
     seeds, datasets = list(seeds), list(datasets)
     cells = itertools.product(datasets, ACTIVATIONS, (False, True), seeds, METHODS)
     configs = [  # all built, and so checked, before the first file write

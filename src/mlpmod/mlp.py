@@ -64,8 +64,11 @@ ADAM_EPS = 1e-8
 # slice of every buffer while it is in cache, then move to the next
 ADAM_BLOCK = 32768
 
-# examples per forward pass of evaluate_accuracy and record_activations
-EVAL_BATCH = 2048
+# examples per forward pass of evaluate_accuracy and record_activations: a
+# chunk's 512 x 256 float64 activations (1 MiB) stay in L2. Chunk size can
+# change bits through BLAS blocking; on the 10000-example test split (last
+# chunk 272 rows) 512 gives the bits of 2048-example chunks, as a test checks
+EVAL_BATCH = 512
 
 
 class TrainingDivergedError(RuntimeError):

@@ -234,19 +234,31 @@ def kmeans_single(
     is repaired by reseeding it with the point farthest from its assigned
     centroid among the clusters that keep another member. Within-run cost is
     checked to be non-increasing.
+
+    The points are held as contiguous coordinate columns. Each iteration
+    builds the (k, n) squared distances by adding the per-coordinate terms
+    ``(col - c_j)**2`` in coordinate order, and each centroid coordinate is
+    the ``np.bincount`` of its column weighted by the labels, divided by the
+    cluster's count.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < n_clusters:
         raise ValueError(f"cannot make {n_clusters} clusters from {n} points")
     centers = _kmeans_pp_init(pts, n_clusters, rng)
+    cols = pts.T.copy()
+    sq = np.empty((n_clusters, n))
+    term = np.empty((n_clusters, n))
     prev_cost = np.inf
     labels = np.zeros(n, dtype=np.int64)
     cost = 0.0
     for _ in range(KMEANS_MAX_ITERS):
-        sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(sq, axis=1)
-        point_cost = sq[np.arange(n), labels]
+        sq.fill(0.0)
+        for col, coord in zip(cols, centers.T):
+            np.subtract(col, coord[:, None], out=term)
+            sq += np.square(term, out=term)
+        labels = np.argmin(sq, axis=0)
+        point_cost = sq[labels, np.arange(n)]
         counts = np.bincount(labels, minlength=n_clusters)
         for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(np.where(counts[labels] > 1, point_cost, -np.inf)))
@@ -258,9 +270,9 @@ def kmeans_single(
         cost = float(point_cost.sum())
         if cost > prev_cost * (1 + 1e-12) + 1e-12:
             raise ArithmeticError("k-means cost increased between iterations")
-        new_centers = np.vstack(
-            [pts[labels == c].mean(axis=0) for c in range(n_clusters)]
-        )
+        new_centers = np.column_stack(
+            [np.bincount(labels, weights=col, minlength=n_clusters) for col in cols]
+        ) / counts[:, None]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         if shift <= KMEANS_TOL:
             break

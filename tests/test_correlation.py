@@ -306,6 +306,21 @@ def test_standardized_ranks_equal_oracle_on_small_random_tables():
         assert np.array_equal(table, want)
 
 
+def test_standardized_ranks_equal_oracle_with_a_large_tie_group_beside_the_zeros():
+    # tie groups of 1200 equal values just below and just above a run of
+    # signed zeros: t^3 reaches 1.7e9 in the integer tie sum, and every group
+    # after the zero run is shifted past it
+    rng = np.random.default_rng(12)
+    parts = [np.full(1200, -0.25), np.full(150, -0.0), np.zeros(150), np.full(1200, 0.75),
+             rng.standard_normal(300), rng.integers(-3, 4, size=200).astype(float)]
+    row = np.concatenate(parts)
+    table = np.stack([rng.permutation(row), rng.permutation(-row), rng.permutation(row)])
+    table[2, table[2] == 0.75] = 0.0  # the upper tie group joins the zero run
+    want = reference_standardized_rank_rows(table)
+    standardize_rank_rows(table)
+    assert table.tobytes() == want.tobytes()
+
+
 def test_standardized_ranks_reject_bad_tables():
     with pytest.raises(ValueError, match="m >= 2"):
         standardize_rank_rows(np.zeros((3, 1)))

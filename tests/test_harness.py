@@ -425,6 +425,20 @@ def test_grid_rejects_bad_seeds_before_any_file_write(smoke_data_dir, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid, reason", [
+    (dict(datasets="smoke"), "datasets must be a sequence such as a list, got 'smoke'"),
+    (dict(seeds=5, datasets=("smoke",)), "seeds must be a sequence such as a list, got 5"),
+], ids=["str-datasets", "int-seeds"])
+def test_grid_rejects_a_non_sequence_before_any_work(
+    smoke_data_dir, tmp_path, monkeypatch, grid, reason
+):
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    with pytest.raises(ValueError) as raised:
+        run_grid(smoke_data_dir, tmp_path / "out", layer_widths=SMOKE_WIDTHS, **grid)
+    assert str(raised.value) == reason
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_rejects_bad_layer_widths_before_any_file_write(smoke_data_dir, tmp_path):
     with pytest.raises(ValueError, match="layer widths must be positive"):
         run_grid(smoke_data_dir, tmp_path / "out", datasets=("smoke",),

@@ -499,6 +499,23 @@ def test_record_activations_batched_matches_single_pass(monkeypatch):
     np.testing.assert_allclose(batched, record_activations(model, x), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_eval_batch_gives_the_bits_of_2048_example_chunks(activation, monkeypatch):
+    # the real split size and shape: 10000 = 19 * 512 + 272, so the last
+    # chunk is short; 384 (a 16-row last chunk) changes bits here
+    assert mlpmod.mlp.EVAL_BATCH == 512
+    rng = np.random.default_rng(41)
+    images = rng.integers(0, 256, size=(10000, 784), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=10000)
+    model = init_model(MlpArchitecture(activation=activation), np.random.default_rng(42))
+    table = record_activations(model, images).tobytes()
+    accuracy = evaluate_accuracy(model, images, labels)
+    monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 2048)
+    assert record_activations(model, images).tobytes() == table
+    assert evaluate_accuracy(model, images, labels) == accuracy
+
+
 # ---------------------------------------------------------------------------
 # architecture validation
 

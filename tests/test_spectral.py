@@ -4,12 +4,15 @@ import pytest
 import mlpmod.spectral
 from mlpmod.graph import LayeredGraph, ncut
 from mlpmod.spectral import (
+    KMEANS_MAX_ITERS,
     KMEANS_RESTARTS,
+    KMEANS_TOL,
     EigensolverError,
     SpectralConfig,
     bipartite_eigenvectors,
     cluster_graph,
     kmeans,
+    _kmeans_pp_init,
     kmeans_single,
     normalized_laplacian,
     row_normalize,
@@ -196,6 +199,70 @@ def test_row_normalize_random_norms():
 
 # ---------------------------------------------------------------------------
 # kmeans
+
+def reference_kmeans_single(points, n_clusters, rng):
+    """Oracle of kmeans_single: the same seeding, repair and stopping rule,
+    with the distances from one (n, k, d) temporary summed over d and each
+    centroid as the mean of its boolean-masked points."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    centers = _kmeans_pp_init(pts, n_clusters, rng)
+    prev_cost = np.inf
+    labels = np.zeros(n, dtype=np.int64)
+    cost = 0.0
+    for _ in range(KMEANS_MAX_ITERS):
+        sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(sq, axis=1)
+        point_cost = sq[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=n_clusters)
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[labels] > 1, point_cost, -np.inf)))
+            counts[labels[far]] -= 1
+            counts[c] = 1
+            labels[far] = c
+            centers[c] = pts[far]
+            point_cost[far] = 0.0
+        cost = float(point_cost.sum())
+        assert cost <= prev_cost * (1 + 1e-12) + 1e-12
+        new_centers = np.vstack([pts[labels == c].mean(axis=0) for c in range(n_clusters)])
+        if float(np.max(np.linalg.norm(new_centers - centers, axis=1))) <= KMEANS_TOL:
+            break
+        centers = new_centers
+        prev_cost = cost
+    return labels, cost
+
+
+def assert_kmeans_single_matches_reference(points, k, seed):
+    labels, cost = kmeans_single(points, k, np.random.default_rng(seed))
+    want_labels, want_cost = reference_kmeans_single(points, k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(labels, want_labels)
+    # adding the coordinates in order is numpy's sum over d for d < 8; for
+    # d = 1 the reference's mean, and for larger d its sum, are pairwise
+    if 2 <= points.shape[1] <= 7:
+        assert cost == want_cost
+    else:
+        assert cost == pytest.approx(want_cost, rel=1e-12, abs=0.0)
+
+
+def test_kmeans_single_equals_reference_on_random_points():
+    rng = np.random.default_rng(60)
+    for trial in range(300):
+        d, k = int(rng.integers(1, 11)), int(rng.integers(2, 9))
+        n = int(rng.integers(k, 200))
+        if trial % 5 == 0:  # few distinct points: the repair path runs
+            distinct = rng.standard_normal((int(rng.integers(1, k + 2)), d))
+            points = distinct[rng.integers(0, len(distinct), size=n)]
+        else:
+            points = rng.standard_normal((n, d))
+        assert_kmeans_single_matches_reference(points, k, seed=trial)
+
+
+def test_kmeans_single_equals_reference_on_a_planted_embedding():
+    graph, _ = _planted_layered(np.random.default_rng(61), (120, 48, 48, 48, 48, 10), 4)
+    embedding = row_normalize(bipartite_eigenvectors(graph, 4)[1])
+    for seed in range(20):
+        assert_kmeans_single_matches_reference(embedding, 4, seed)
+
 
 def test_kmeans_square_corners():
     points = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
