@@ -16,7 +16,7 @@ weights = [
     np.array([[2.0], [-3.0]]),   # input -> hidden
     np.array([[0.5, 4.0]]),      # hidden -> output
 ]
-graph = build_weight_adjacency(weights, (1, 2, 1))
+graph = build_weight_adjacency(weights)  # the shapes give the layer widths
 # layers 0 and 2 are even and layer 1 is odd, so the block joins the input
 # and the output (its rows) to the two hidden units (its columns)
 print("even layer per node:", graph.even.tolist())

@@ -62,7 +62,7 @@ blocks = [
     rng.uniform(0.5, 1.0, (a, b)) * np.where(ma[:, None] == mb[None, :], 1.0, 0.02)
     for a, b, ma, mb in zip(widths, widths[1:], modules, modules[1:])
 ]
-layered = LayeredGraph.from_layers(widths, blocks)
+layered = LayeredGraph.from_layers(blocks)  # block t is (widths[t], widths[t+1])
 from_blocks = cluster_graph(layered, SpectralConfig(k=2, rng_seed=0))
 from_dense = cluster_graph(layered.dense(), SpectralConfig(k=2, rng_seed=0))
 print(f"\nlayered {'-'.join(map(str, widths))} network, two planted modules:")

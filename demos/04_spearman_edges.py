@@ -24,15 +24,17 @@ print(f"8/sqrt(95)                     = {8 / np.sqrt(95):.6f}")
 dead = np.zeros(5)
 print("spearman(dead unit, anything) =", spearman(dead, y))
 
-# activation table for a 1-2-1 network over 5 recorded examples, one row
-# per neuron: input, hidden0, hidden1 (dead), output
-table = np.stack([
-    np.array([0.1, 0.4, 0.2, 0.9, 0.6]),      # input pixel
-    np.array([0.2, 0.8, 0.4, 1.8, 1.2]),      # hidden0 tracks the input
-    dead,                                      # hidden1 never fires
-    np.array([0.9, 0.2, 0.6, 0.1, 0.15]),     # output anti-correlated
-])
-graph = build_correlation_adjacency(table, (1, 2, 1))
+# activations of a 1-2-1 network over 5 recorded examples: one array per
+# layer, one row per neuron, as record_activations returns them
+layers = [
+    np.array([[0.1, 0.4, 0.2, 0.9, 0.6]]),      # input pixel
+    np.stack([
+        np.array([0.2, 0.8, 0.4, 1.8, 1.2]),    # hidden0 tracks the input
+        dead,                                    # hidden1 never fires
+    ]),
+    np.array([[0.9, 0.2, 0.6, 0.1, 0.15]]),     # output anti-correlated
+]
+graph = build_correlation_adjacency(layers)
 print("\ncorrelation adjacency (|spearman| on edges):")
 print(np.round(graph.dense(), 3))
 print("dead hidden1 (node 2) has only zero-weight edges")

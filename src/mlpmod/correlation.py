@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import LayeredGraph, layer_starts
+from .graph import LayeredGraph
 
 __all__ = [
     "spearman",
@@ -94,31 +94,31 @@ def _standardize_ranks(x: np.ndarray) -> None:
     x[position] = np.repeat(twice_centered * 0.5 / norm, sizes)
 
 
-def build_correlation_adjacency(table: np.ndarray, layer_widths: Sequence[int]) -> LayeredGraph:
+def build_correlation_adjacency(activations: Sequence[np.ndarray]) -> LayeredGraph:
     """The network graph with |Spearman correlation| edge weights, as a
     :class:`~mlpmod.graph.LayeredGraph`; ``.dense()`` gives the n x n matrix.
 
-    ``table`` is an (N, m) activation table, as ``record_activations``
-    writes it: one row per neuron in the graph's numbering, one column per
-    recorded example, for layers of the given widths. Every adjacent-layer
-    neuron pair is an edge of the underlying MLP, so each layer-pair block is
-    one matrix product of standardized rank rows.
+    ``activations[l]`` is layer ``l``'s ``(w[l], m)`` activations, as
+    ``record_activations`` returns them: one row per neuron, one column per
+    recorded example. Every adjacent-layer neuron pair is an edge of the
+    underlying MLP, so each layer-pair block is one matrix product of
+    standardized rank rows.
 
-    The table must be float64, of any memory layout, and is ranked in place:
-    it is overwritten with its standardized ranks. A table of another dtype
-    raises ``ValueError``.
+    Every array is checked before any is ranked: at least two layers, each
+    2-D float64 with at least one row, all with the same ``m >= 2`` columns,
+    or ``ValueError``. Then each array, of any memory layout, is overwritten
+    with its standardized ranks.
     """
-    widths = tuple(layer_widths)
-    starts = layer_starts(widths)
-    if table.ndim != 2 or table.shape[0] != starts[-1]:
-        raise ValueError(
-            f"activation table has shape {table.shape}; the layer widths imply "
-            f"{starts[-1]} neuron rows"
-        )
-    if table.shape[1] < 2:
+    if len(activations) < 2:
+        raise ValueError(f"need at least two layers of activations, got {len(activations)}")
+    for layer, a in enumerate(activations):
+        if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] < 1:
+            raise ValueError(f"layer {layer} is {a.dtype} {a.shape}, not float64 (n >= 1, m)")
+        if a.shape[1] != activations[0].shape[1]:
+            m = activations[0].shape[1]
+            raise ValueError(f"layer {layer} has {a.shape[1]} recorded examples, layer 0 has {m}")
+    if activations[0].shape[1] < 2:
         raise ValueError("need at least two recorded examples")
-    standardize_rank_rows(table)
-    return LayeredGraph.from_layers(widths, [
-        np.abs(table[starts[i] : starts[i + 1]] @ table[starts[i + 1] : starts[i + 2]].T)
-        for i in range(len(widths) - 1)
-    ])
+    for a in activations:
+        standardize_rank_rows(a)
+    return LayeredGraph.from_layers([np.abs(a @ b.T) for a, b in zip(activations, activations[1:])])

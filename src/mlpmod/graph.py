@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "layer_starts",
     "LayeredGraph",
     "build_weight_adjacency",
     "degree",
@@ -25,16 +24,6 @@ __all__ = [
     "cut_weight",
     "ncut",
 ]
-
-
-def layer_starts(layer_widths: Sequence[int]) -> np.ndarray:
-    """First global node index of each layer (a trailing total is appended)."""
-    widths = np.asarray(layer_widths, dtype=np.int64)
-    if widths.ndim != 1 or widths.size < 2:
-        raise ValueError("need at least two layer widths")
-    if np.any(widths < 1):
-        raise ValueError("layer widths must be positive")
-    return np.concatenate([[0], np.cumsum(widths)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,27 +49,31 @@ class LayeredGraph:
             raise ValueError(f"block has shape {self.block.shape}, expected {expected}")
 
     @classmethod
-    def from_layers(cls, widths: Sequence[int], blocks: Sequence[np.ndarray]) -> LayeredGraph:
-        """The graph of layers of the given widths, numbered layer by layer.
+    def from_layers(cls, blocks: Sequence[np.ndarray]) -> LayeredGraph:
+        """The graph of the layers that ``blocks`` join, numbered layer by layer.
 
-        ``blocks[t]`` has shape ``(widths[t], widths[t+1])``: rows in layer
-        ``t``, columns in layer ``t+1``.
+        ``blocks[t]`` joins layer ``t`` (rows) to layer ``t+1`` (columns), so
+        the widths are the first block's rows and every block's columns. Each
+        block is 2-D with no empty side and has as many rows as the block
+        before it has columns.
         """
-        widths = tuple(int(w) for w in widths)
-        if len(widths) < 2 or min(widths) < 0:
-            raise ValueError(f"need at least two nonnegative layer widths, got {widths}")
-        if len(blocks) != len(widths) - 1:
-            raise ValueError(
-                f"expected {len(widths) - 1} blocks for {len(widths)} layers, got {len(blocks)}"
-            )
+        shapes = [np.shape(b) for b in blocks]
+        if not shapes:
+            raise ValueError("need at least one block")
+        for t, shape in enumerate(shapes):
+            if len(shape) != 2 or 0 in shape:
+                raise ValueError(f"block {t} has shape {shape}; a block is 2-D with no empty side")
+            if t and shape[0] != shapes[t - 1][1]:
+                raise ValueError(
+                    f"block {t} has shape {shape} but block {t - 1} has shape "
+                    f"{shapes[t - 1]}; its rows must match the columns before it"
+                )
+        widths = [shapes[0][0]] + [shape[1] for shape in shapes]
         # on its own side, a layer follows the layers of its parity before it
         side = [slice(sum(widths[t % 2 : t : 2]), sum(widths[t % 2 : t + 1 : 2]))
                 for t in range(len(widths))]
         block = np.zeros((sum(widths[0::2]), sum(widths[1::2])))
         for t, layer_block in enumerate(blocks):
-            expected = (widths[t], widths[t + 1])
-            if np.shape(layer_block) != expected:
-                raise ValueError(f"block {t} has shape {np.shape(layer_block)}, expected {expected}")
             if t % 2 == 0:
                 block[side[t], side[t + 1]] = layer_block
             else:
@@ -119,33 +112,15 @@ class LayeredGraph:
         return 2.0 * (onehot[self.even] * (self.block @ onehot[~self.even])).sum(axis=0)
 
 
-def build_weight_adjacency(
-    layer_weight_matrices: Sequence[np.ndarray],
-    layer_widths: Sequence[int],
-) -> LayeredGraph:
+def build_weight_adjacency(weights: Sequence[np.ndarray]) -> LayeredGraph:
     """The network graph of trained weight matrices, as a :class:`LayeredGraph`.
 
-    ``layer_weight_matrices[t]`` must have shape ``(widths[t+1], widths[t])``
-    and connects layer ``t`` to layer ``t+1``. Each edge carries the absolute
-    weight; biases are ignored. ``.dense()`` gives the n x n matrix.
+    ``weights[t]``, of shape ``(w[t+1], w[t])``, connects layer ``t`` to
+    layer ``t+1``; transposed, it is block ``t`` of :meth:`LayeredGraph.from_layers`,
+    which checks that the shapes fit together. Each edge carries the
+    absolute weight; biases are ignored. ``.dense()`` gives the n x n matrix.
     """
-    widths = tuple(layer_widths)
-    layer_starts(widths)  # rejects fewer than two or non-positive widths
-    if len(layer_weight_matrices) != len(widths) - 1:
-        raise ValueError(
-            f"expected {len(widths) - 1} weight matrices for "
-            f"{len(widths)} layers, got {len(layer_weight_matrices)}"
-        )
-    blocks = []
-    for t, w in enumerate(layer_weight_matrices):
-        w = np.asarray(w, dtype=np.float64)
-        expected = (widths[t + 1], widths[t])
-        if w.shape != expected:
-            raise ValueError(
-                f"weight matrix {t} has shape {w.shape}, expected {expected}"
-            )
-        blocks.append(np.abs(w).T)  # rows: layer t, cols: layer t+1
-    return LayeredGraph.from_layers(widths, blocks)
+    return LayeredGraph.from_layers([np.abs(np.asarray(w, dtype=np.float64)).T for w in weights])
 
 
 def degree(adjacency: np.ndarray, node: int) -> float:

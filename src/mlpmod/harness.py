@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import logging
+import sys
 import time
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -171,6 +172,13 @@ class ExperimentReport:
         ]
         if wrong:
             raise DataError(f"{path}: report values of the wrong type: {', '.join(wrong)}")
+        # the tables have a row for each method and activation, and show only finite numbers
+        for name, allowed in (("method", METHODS), ("activation", ACTIVATIONS)):
+            if d[name] not in allowed:
+                raise DataError(f"{path}: report {name} {d[name]!r} is not one of {allowed}")
+        for name in ("ncut", "test_accuracy_percent"):  # NaN fails the comparison too
+            if d[name] is not None and not abs(d[name]) <= sys.float_info.max:
+                raise DataError(f"{path}: report {name} is not a finite float")
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
@@ -268,8 +276,8 @@ def _analyze_model(
 
     The caller has passed ``method`` and ``test_set`` through
     ``_check_test_split``. Test accuracy is measured whenever ``test_set``
-    is given; under spearman it comes from the logits of the activation
-    table, so each method runs the test set through the model once. A
+    is given; under spearman it comes from the last recorded layer, the
+    logits, so each method runs the test set through the model once. A
     ``spectral.k`` above the graph's positive count of nodes of nonzero
     degree raises ``DataError`` naming both.
     """
@@ -277,13 +285,13 @@ def _analyze_model(
     accuracy = None
     with _stage("adjacency", wall_times):
         if method == "weights":
-            graph = build_weight_adjacency(model.weights, arch.layer_widths)
+            graph = build_weight_adjacency(model.weights)
         else:
-            table = record_activations(model, test_set.images)
-            # read before the graph build ranks the table in place
-            accuracy = logit_accuracy(table[-arch.n_classes :].T, test_set.labels)
-            graph = build_correlation_adjacency(table, arch.layer_widths)
-            del table  # n_neurons x m floats, dead once ranked: free before clustering
+            layers = record_activations(model, test_set.images)
+            # read before the graph build ranks the layers in place
+            accuracy = logit_accuracy(layers[-1].T, test_set.labels)
+            graph = build_correlation_adjacency(layers)
+            del layers  # every neuron's m floats, dead once ranked: free before clustering
     if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
             accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)

@@ -24,6 +24,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,14 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
+def _integer_setting(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integral value raises
+    ``ValueError`` naming the setting ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MlpArchitecture:
     layer_widths: tuple[int, ...] = DEFAULT_LAYER_WIDTHS
@@ -82,7 +91,9 @@ class MlpArchitecture:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
+        widths = tuple(_integer_setting(f"layer_widths[{i}]", w)
+                       for i, w in enumerate(self.layer_widths))
+        object.__setattr__(self, "layer_widths", widths)
         if len(self.layer_widths) < 2:
             raise ValueError("architecture needs at least input and output layers")
         if any(w < 1 for w in self.layer_widths):
@@ -91,10 +102,6 @@ class MlpArchitecture:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-
-    @property
-    def n_neurons(self) -> int:
-        return sum(self.layer_widths)
 
     @property
     def n_classes(self) -> int:
@@ -134,6 +141,8 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "rng_seed"):
+            object.__setattr__(self, name, _integer_setting(name, getattr(self, name)))
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.rng_seed < 0:
@@ -413,21 +422,21 @@ def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return np.count_nonzero(np.argmax(logits, axis=1) == labels) / logits.shape[0]
 
 
-def record_activations(model: MlpModel, images: np.ndarray) -> np.ndarray:
-    """Activation table over ``images``, C-order ``(n_neurons, m)``: one row
-    per neuron (inputs, then hidden layers, then output logits), one column
-    per example, so each neuron's activation vector is contiguous. The
-    images are scaled one ``EVAL_BATCH`` at a time, and each scaled chunk
-    fills its columns of the input rows."""
+def record_activations(model: MlpModel, images: np.ndarray) -> list[np.ndarray]:
+    """Activations over ``images``, one ``(w[l], m)`` array per layer ``l``
+    (inputs, hidden layers, logits), one column per example. The arrays are
+    views of one C-order table, rows in node order, so each neuron's vector
+    is contiguous. The images are scaled one ``EVAL_BATCH`` at a time, and
+    each scaled chunk fills its columns of the input rows."""
     images = np.asarray(images)
     widths = model.architecture.layer_widths
     table = np.empty((sum(widths), len(images)), dtype=np.float64)
-    bounds = np.cumsum((0,) + widths)
+    layers = np.split(table, np.cumsum(widths[:-1]))
     # one chunk even of no examples, so that every input gets its checks
     for start in range(0, max(len(images), 1), EVAL_BATCH):
         examples = slice(start, start + EVAL_BATCH)
         x = _check_batch(model, images[examples])
         logits, hidden, _, _ = _forward_cached(model, x, None)
-        for layer, act in enumerate([x] + hidden + [logits]):
-            table[bounds[layer] : bounds[layer + 1], examples] = act.T
-    return table
+        for layer, act in zip(layers, [x] + hidden + [logits]):
+            layer[:, examples] = act.T
+    return layers

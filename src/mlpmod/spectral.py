@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import LayeredGraph, ncut
+from .mlp import _integer_setting
 
 __all__ = [
     "SpectralConfig",
@@ -54,6 +55,8 @@ class SpectralConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "rng_seed"):
+            object.__setattr__(self, name, _integer_setting(name, getattr(self, name)))
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.rng_seed < 0:

@@ -417,6 +417,21 @@ def _report_with(**values):
             "wrong type: cluster_sizes (expected list, got int), kmeans_cost",
             id="size-int-cost-bool",
         ),
+        pytest.param(
+            _report_with(method="pearson"), "method 'pearson' is not one of", id="method"
+        ),
+        pytest.param(
+            _report_with(activation="tanh"), "activation 'tanh' is not one of", id="activation"
+        ),
+        pytest.param(
+            _report_with(ncut=float("nan")), "ncut is not a finite float", id="ncut-nan"
+        ),
+        pytest.param(_report_with(ncut=10**400), "ncut is not a finite float", id="ncut-huge"),
+        pytest.param(
+            _report_with(test_accuracy_percent=float("inf")),
+            "test_accuracy_percent is not a finite float",
+            id="accuracy-inf",
+        ),
     ],
 )
 def test_report_command_malformed_report_is_data_error(tmp_path, content, fault):

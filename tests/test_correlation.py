@@ -5,11 +5,16 @@ import pytest
 
 from mlpmod.correlation import build_correlation_adjacency, spearman, standardize_rank_rows
 from mlpmod.data import load_dataset
-from mlpmod.graph import build_weight_adjacency, layer_starts
+from mlpmod.graph import build_weight_adjacency
 from mlpmod.mlp import MlpArchitecture, init_model, record_activations
 
 from conftest import SMOKE_WIDTHS
-from test_graph import assert_layered_adjacency
+from test_graph import assert_layered_adjacency, layer_offsets
+
+
+def split_layers(table, widths):
+    """The per-layer row views of a neuron-major activation table."""
+    return np.split(table, np.cumsum(widths)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_dead_unit_gives_zero_edges():
             [1.0, 2.0, 3.0, 4.0],
         ]
     )
-    a = build_correlation_adjacency(table, (1, 2, 1)).dense()
+    a = build_correlation_adjacency(split_layers(table, (1, 2, 1))).dense()
     assert a[0, 2] == 0.0
     assert a[2, 3] == 0.0
     assert a[0, 1] != 0.0
@@ -206,7 +211,7 @@ def test_duplicate_columns_give_weight_one():
     rng = np.random.default_rng(5)
     col = rng.random(10)
     table = np.stack([col, col, rng.random(10)])
-    a = build_correlation_adjacency(table, (1, 1, 1)).dense()
+    a = build_correlation_adjacency(split_layers(table, (1, 1, 1))).dense()
     assert a[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,7 +219,7 @@ def test_adjacency_matches_per_edge_oracle():
     rng = np.random.default_rng(6)
     widths = (2, 3, 2)
     table = rng.integers(0, 6, size=(7, 12)).astype(float)
-    a = build_correlation_adjacency(table.copy(), widths).dense()
+    a = build_correlation_adjacency(split_layers(table.copy(), widths)).dense()
     assert_layered_adjacency(a, widths)
     starts = [0, 2, 5, 7]
     for layer in range(2):
@@ -229,19 +234,33 @@ def test_same_sparsity_pattern_as_weight_adjacency():
     rng = np.random.default_rng(7)
     widths = (3, 4, 2)
     weights = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
-    w_adj = build_weight_adjacency(weights, widths).dense()
+    w_adj = build_weight_adjacency(weights).dense()
     table = rng.standard_normal((9, 9))
-    c_adj = build_correlation_adjacency(table, widths).dense()
+    c_adj = build_correlation_adjacency(split_layers(table, widths)).dense()
     # identical allowed blocks: wherever one can be nonzero, so can the other
     np.testing.assert_array_equal(w_adj == 0, np.where(c_adj == 0, True, False) | (w_adj == 0))
     assert_layered_adjacency(c_adj, widths)
 
 
 def test_table_size_must_match_architecture():
-    with pytest.raises(ValueError, match="neuron rows"):
-        build_correlation_adjacency(np.zeros((5, 6)), (1, 2, 1))
+    with pytest.raises(ValueError, match="layer 1 has 5 recorded examples, layer 0 has 6"):
+        build_correlation_adjacency([np.zeros((1, 6)), np.zeros((2, 5))])
+    with pytest.raises(ValueError, match="at least two layers of activations, got 1"):
+        build_correlation_adjacency([np.zeros((4, 6))])
     with pytest.raises(ValueError, match="two recorded"):
-        build_correlation_adjacency(np.zeros((4, 1)), (1, 2, 1))
+        build_correlation_adjacency(split_layers(np.zeros((4, 1)), (1, 2, 1)))
+
+
+@pytest.mark.parametrize("last", [
+    np.zeros((2, 9), dtype=np.float32),
+    np.zeros((2, 8)),
+], ids=["float32", "other-m"])
+def test_every_layer_is_checked_before_any_is_ranked(last):
+    first = np.random.default_rng(13).standard_normal((3, 9))
+    before = first.tobytes()
+    with pytest.raises(ValueError, match="layer 2"):
+        build_correlation_adjacency([first, np.ones((4, 9)), last])
+    assert first.tobytes() == before
 
 
 def test_adjacency_ranks_a_float64_table_in_place():
@@ -249,13 +268,14 @@ def test_adjacency_ranks_a_float64_table_in_place():
     table = rng.standard_normal((7, 9))
     expected = reference_standardized_rank_rows(table)
     fortran = np.asfortranarray(table)
-    from_fortran = build_correlation_adjacency(fortran, (2, 3, 2))
+    from_fortran = build_correlation_adjacency(split_layers(fortran, (2, 3, 2)))
     assert fortran.tobytes() == expected.tobytes()  # any layout is ranked in place
-    in_place = build_correlation_adjacency(table, (2, 3, 2))
+    in_place = build_correlation_adjacency(split_layers(table, (2, 3, 2)))
     assert table.tobytes() == expected.tobytes()
     assert in_place.dense().tobytes() == from_fortran.dense().tobytes()
+    single = rng.standard_normal((7, 9)).astype(np.float32)
     with pytest.raises(ValueError, match="float64"):
-        build_correlation_adjacency(rng.standard_normal((7, 9)).astype(np.float32), (2, 3, 2))
+        build_correlation_adjacency(split_layers(single, (2, 3, 2)))
 
 
 def test_standardized_rows_unit_norm_or_zero():
@@ -330,13 +350,14 @@ def test_standardized_ranks_reject_bad_tables():
 
 def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
     model = init_model(MlpArchitecture(layer_widths=SMOKE_WIDTHS), np.random.default_rng(0))
-    table = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
+    layers = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
+    table = np.concatenate(layers)
     assert np.any(table[784:] == 0.0)  # relu zeros tie in the hidden rows
     z = reference_standardized_rank_rows(table)
-    starts = layer_starts(SMOKE_WIDTHS)
+    starts = layer_offsets(SMOKE_WIDTHS)
     want = np.zeros((starts[-1], starts[-1]))
     for a, b, c in zip(starts, starts[1:], starts[2:]):
         want[a:b, b:c] = np.abs(z[a:b] @ z[b:c].T)
         want[b:c, a:b] = want[a:b, b:c].T
-    got = build_correlation_adjacency(table, SMOKE_WIDTHS).dense()
+    got = build_correlation_adjacency(layers).dense()
     assert got.tobytes() == want.tobytes()

@@ -50,10 +50,8 @@ def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir, 
     model = init_model(arch, np.random.default_rng(0))
     test = load_splits(full_shape_mnist_dir / "mnist", ["test"])["test"]
     graphs = {
-        "weights": build_weight_adjacency(model.weights, arch.layer_widths),
-        "spearman": build_correlation_adjacency(
-            record_activations(model, test.images), arch.layer_widths
-        ),
+        "weights": build_weight_adjacency(model.weights),
+        "spearman": build_correlation_adjacency(record_activations(model, test.images)),
     }
     cfg = SpectralConfig(k=4, rng_seed=0)
     dense = {method: cluster_graph(graph.dense(), cfg) for method, graph in graphs.items()}

@@ -6,7 +6,6 @@ from mlpmod.graph import (
     build_weight_adjacency,
     cut_weight,
     degree,
-    layer_starts,
     ncut,
     volume,
 )
@@ -67,10 +66,15 @@ def random_partition(rng, a, k):
     raise RuntimeError("could not sample a valid partition")
 
 
+def layer_offsets(widths):
+    """First node index of each layer, then the node count."""
+    return np.concatenate([[0], np.cumsum(widths)])
+
+
 def assert_layered_adjacency(a, widths):
     """Symmetric, non-negative, and nonzero only in the blocks that join
     adjacent layers, so the diagonal is zero too."""
-    starts = layer_starts(widths)
+    starts = layer_offsets(widths)
     assert a.shape == (starts[-1], starts[-1])
     np.testing.assert_array_equal(a, a.T)
     assert np.all(a >= 0)
@@ -91,7 +95,7 @@ def random_blocks(rng, widths, density=0.7):
 
 def random_layered(rng, widths, density=0.7):
     """A LayeredGraph with random nonnegative blocks of the given widths."""
-    return LayeredGraph.from_layers(widths, random_blocks(rng, widths, density))
+    return LayeredGraph.from_layers(random_blocks(rng, widths, density))
 
 
 def path_graph(n):
@@ -112,20 +116,11 @@ def triangle_union(n_triangles):
 
 
 # ---------------------------------------------------------------------------
-# neuron numbering
-
-def test_layer_starts_and_totals():
-    widths = (784, 256, 256, 256, 256, 10)
-    starts = layer_starts(widths)
-    assert starts.tolist() == [0, 784, 1040, 1296, 1552, 1808, 1818]
-
-
-# ---------------------------------------------------------------------------
 # build_weight_adjacency
 
 def test_build_weight_adjacency_1_2_1():
     weights = [np.array([[2.0], [-3.0]]), np.array([[0.5, 4.0]])]
-    a = build_weight_adjacency(weights, (1, 2, 1)).dense()
+    a = build_weight_adjacency(weights).dense()
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 2.0
     expected[0, 2] = expected[2, 0] = 3.0
@@ -137,16 +132,18 @@ def test_build_weight_adjacency_1_2_1():
 
 def test_build_weight_adjacency_zero_weights():
     weights = [np.zeros((2, 1)), np.zeros((1, 2))]
-    a = build_weight_adjacency(weights, (1, 2, 1)).dense()
+    a = build_weight_adjacency(weights).dense()
     np.testing.assert_array_equal(a, np.zeros((4, 4)))
 
 
 def test_build_weight_adjacency_shape_mismatch():
     weights = [np.zeros((2, 1)), np.zeros((1, 3))]
-    with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(1, 2\)"):
-        build_weight_adjacency(weights, (1, 2, 1))
-    with pytest.raises(ValueError, match="expected 2 weight matrices"):
-        build_weight_adjacency(weights[:1], (1, 2, 1))
+    # block t is weight matrix t transposed
+    mismatch = r"block 1 has shape \(3, 1\) but block 0 has shape \(1, 2\)"
+    with pytest.raises(ValueError, match=mismatch):
+        build_weight_adjacency(weights)
+    with pytest.raises(ValueError, match="at least one block"):
+        build_weight_adjacency([])
 
 
 def test_build_weight_adjacency_default_architecture_pattern():
@@ -157,11 +154,11 @@ def test_build_weight_adjacency_default_architecture_pattern():
         rng.standard_normal((widths[t + 1], widths[t]))
         for t in range(len(widths) - 1)
     ]
-    a = build_weight_adjacency(weights, widths).dense()
+    a = build_weight_adjacency(weights).dense()
     assert a.shape == (1818, 1818)
     assert_layered_adjacency(a, widths)
     # construction oracle: every adjacent-layer entry must equal |w|
-    starts = layer_starts(widths)
+    starts = layer_offsets(widths)
     for t in range(len(widths) - 1):
         block = a[starts[t] : starts[t + 1], starts[t + 1] : starts[t + 2]]
         np.testing.assert_array_equal(block, np.abs(weights[t]).T)
@@ -176,7 +173,7 @@ def test_build_weight_adjacency_invariants_random():
             rng.standard_normal((widths[t + 1], widths[t]))
             for t in range(n_layers - 1)
         ]
-        a = build_weight_adjacency(weights, widths).dense()
+        a = build_weight_adjacency(weights).dense()
         assert_layered_adjacency(a, widths)
 
 
@@ -341,24 +338,25 @@ LAYER_WIDTHS = [(3, 5), (4, 3, 6), (5, 3, 4, 3), (3, 6, 1, 5, 3), (7, 4, 4, 4, 4
 
 
 def test_layered_graph_rejects_bad_shapes():
-    with pytest.raises(ValueError, match=r"block 1 has shape \(3, 2\), expected \(2, 3\)"):
-        LayeredGraph.from_layers((1, 2, 3), [np.ones((1, 2)), np.ones((3, 2))])
-    with pytest.raises(ValueError, match="expected 2 blocks for 3 layers, got 1"):
-        LayeredGraph.from_layers((1, 2, 3), [np.ones((1, 2))])
-    with pytest.raises(ValueError, match="at least two nonnegative layer widths"):
-        LayeredGraph.from_layers((4,), [])
-    with pytest.raises(ValueError, match="at least two nonnegative layer widths"):
-        LayeredGraph.from_layers((2, -1), [np.ones((2, 0))])
+    mismatch = r"block 1 has shape \(3, 2\) but block 0 has shape \(1, 2\)"
+    with pytest.raises(ValueError, match=mismatch):
+        LayeredGraph.from_layers([np.ones((1, 2)), np.ones((3, 2))])
+    with pytest.raises(ValueError, match="at least one block"):
+        LayeredGraph.from_layers([])
+    with pytest.raises(ValueError, match=r"block 0 has shape \(4,\); a block is 2-D"):
+        LayeredGraph.from_layers([np.ones(4)])
+    with pytest.raises(ValueError, match=r"block 1 has shape \(2, 0\); a block is 2-D with no"):
+        LayeredGraph.from_layers([np.ones((3, 2)), np.ones((2, 0))])
 
 
 @pytest.mark.parametrize("widths", LAYER_WIDTHS, ids=str)
 def test_layered_graph_matches_dense_oracle(widths):
     rng = np.random.default_rng(len(widths))
     blocks = random_blocks(rng, widths)
-    graph = LayeredGraph.from_layers(widths, blocks)
+    graph = LayeredGraph.from_layers(blocks)
     a = graph.dense()
     assert_layered_adjacency(a, widths)
-    starts = layer_starts(widths)
+    starts = layer_offsets(widths)
     for t, block in enumerate(blocks):
         np.testing.assert_array_equal(a[starts[t] : starts[t + 1], starts[t + 1] : starts[t + 2]], block)
     np.testing.assert_allclose(graph.degrees(), [naive_degree(a, i) for i in range(len(a))], rtol=1e-12)
@@ -381,7 +379,7 @@ def test_layered_ncut_matches_dense_oracle(widths):
 
 
 def test_layered_ncut_rejects_what_dense_rejects():
-    graph = LayeredGraph.from_layers((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
+    graph = LayeredGraph.from_layers([np.array([[1.0, 0.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="cluster 1 has zero volume"):
         ncut(graph, np.array([0, 1, 0, 1]), 2)
     with pytest.raises(ValueError, match="cluster 1 is empty"):

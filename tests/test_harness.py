@@ -439,6 +439,23 @@ def test_grid_rejects_a_non_sequence_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid, reason", [
+    (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+    (dict(seeds=[0.5]), "rng_seed must be an integer, got 0.5"),
+    (dict(seeds=[True]), "rng_seed must be an integer, got True"),
+    (dict(layer_widths=(784, 8.9, 10)), "layer_widths[1] must be an integer, got 8.9"),
+], ids=["float-epochs", "float-seed", "bool-seed", "float-width"])
+def test_grid_rejects_a_non_integer_count_before_any_work(
+    smoke_data_dir, tmp_path, monkeypatch, grid, reason
+):
+    monkeypatch.setattr(harness, "train", _train_forbidden)
+    with pytest.raises(ValueError) as raised:
+        run_grid(smoke_data_dir, tmp_path / "out",
+                 **{"datasets": ("smoke",), "layer_widths": SMOKE_WIDTHS, **grid})
+    assert str(raised.value) == reason
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_rejects_bad_layer_widths_before_any_file_write(smoke_data_dir, tmp_path):
     with pytest.raises(ValueError, match="layer widths must be positive"):
         run_grid(smoke_data_dir, tmp_path / "out", datasets=("smoke",),

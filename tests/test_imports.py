@@ -1,5 +1,6 @@
 """numpy is the package's one runtime dependency: every import under
-``src/mlpmod`` is of the standard library, of numpy or relative."""
+``src/mlpmod`` is of the standard library, of numpy or relative. And every
+name a module imports is used."""
 
 import ast
 import sys
@@ -27,3 +28,28 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 if name.partition(".")[0] not in ALLOWED
             ]
     assert not outside, outside
+
+
+def test_every_module_uses_the_names_it_imports():
+    """A name a module imports and never reads is left over from a removal.
+    The package root is exempt: its imports are its re-exports."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} imports {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert not unused, unused

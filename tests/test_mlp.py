@@ -172,10 +172,10 @@ def test_activation_ranges():
     rng = np.random.default_rng(3)
     x = rng.random((20, 5))
     relu_model = make_model((5, 8, 8, 4), activation="relu", seed=4)
-    hidden = record_activations(relu_model, x)[5:21]
+    hidden = np.concatenate(record_activations(relu_model, x))[5:21]
     assert np.all(hidden >= 0.0)
     sig_model = make_model((5, 8, 8, 4), activation="sigmoid", seed=4)
-    hidden = record_activations(sig_model, x)[5:21]
+    hidden = np.concatenate(record_activations(sig_model, x))[5:21]
     assert np.all((hidden > 0.0) & (hidden < 1.0))
 
 
@@ -423,8 +423,8 @@ def test_uint8_pixels_give_the_bits_of_their_scaled_floats(activation, dropout, 
         for x in (pixels, floats)
     )
     assert model.params.tobytes() == float_model.params.tobytes()
-    table = record_activations(model, pixels)
-    np.testing.assert_array_equal(table, record_activations(model, floats))
+    table = np.concatenate(record_activations(model, pixels))
+    np.testing.assert_array_equal(table, np.concatenate(record_activations(model, floats)))
     np.testing.assert_array_equal(table[:784], floats.T)
     assert evaluate_accuracy(model, pixels, labels) == evaluate_accuracy(model, floats, labels)
 
@@ -443,7 +443,7 @@ def test_recorded_logits_give_evaluate_accuracy():
     model = init_model(MlpArchitecture(layer_widths=(20, 16, 16, 4)), np.random.default_rng(0))
     x = rng.random((4500, 20))
     labels = rng.integers(0, 4, size=4500)
-    logits = record_activations(model, x)[-4:].T
+    logits = np.concatenate(record_activations(model, x))[-4:].T
     np.testing.assert_array_equal(logits, forward(model, x))
     assert logit_accuracy(logits, labels) == evaluate_accuracy(model, x, labels)
 
@@ -455,23 +455,38 @@ def test_recorded_inputs_are_verbatim():
     model = make_model((5, 4, 3), seed=12)
     rng = np.random.default_rng(13)
     x = rng.random((9, 5))
-    table = record_activations(model, x)
-    assert table.shape == (12, 9)
-    assert table.flags.c_contiguous
-    np.testing.assert_array_equal(table[:5], x.T)
+    layers = record_activations(model, x)
+    assert [a.shape for a in layers] == [(5, 9), (4, 9), (3, 9)]
+    np.testing.assert_array_equal(layers[0], x.T)
+
+
+def test_recorded_layers_are_views_of_one_c_order_table():
+    model = make_model((5, 4, 6, 3), seed=12)
+    x = np.random.default_rng(13).random((9, 5))
+    layers = record_activations(model, x)
+    assert [a.shape for a in layers] == [(5, 9), (4, 9), (6, 9), (3, 9)]
+    table = layers[0].base
+    assert table.shape == (18, 9) and table.flags.c_contiguous
+    assert all(a.base is table and np.shares_memory(a, table) for a in layers)
+    assert all(a.flags.c_contiguous for a in layers)  # each neuron's row is contiguous
+    (w0, w1, _), (b0, b1, _) = model.weights, model.biases
+    h1 = np.maximum(x @ w0.T + b0, 0.0)
+    h2 = np.maximum(h1 @ w1.T + b1, 0.0)
+    expected = np.concatenate([x.T, h1.T, h2.T, forward(model, x).T])
+    assert np.concatenate(layers).tobytes() == expected.tobytes() == table.tobytes()
 
 
 def test_recorded_hidden_nonnegative_for_relu():
     model = make_model((5, 6, 3), activation="relu", seed=14)
     x = np.random.default_rng(15).random((11, 5))
-    table = record_activations(model, x)
+    table = np.concatenate(record_activations(model, x))
     assert np.all(table[5:11] >= 0.0)
 
 
 def test_recorded_outputs_are_logits():
     model = make_model((5, 6, 3), activation="sigmoid", seed=16)
     x = np.random.default_rng(17).random((4, 5))
-    table = record_activations(model, x)
+    table = np.concatenate(record_activations(model, x))
     np.testing.assert_array_equal(table[-3:], forward(model, x).T)
 
 
@@ -479,7 +494,7 @@ def test_constant_input_column_records_constant():
     model = make_model((5, 4, 3), seed=18)
     x = np.random.default_rng(19).random((8, 5))
     x[:, 2] = 0.0  # a dead pixel
-    table = record_activations(model, x)
+    table = np.concatenate(record_activations(model, x))
     np.testing.assert_array_equal(table[2], np.zeros(8))
 
 
@@ -493,10 +508,11 @@ def test_record_activations_batched_matches_single_pass(monkeypatch):
     model = make_model((5, 4, 3), seed=22)
     x = np.random.default_rng(23).random((10, 5))
     monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 3)
-    batched = record_activations(model, x)
+    batched = np.concatenate(record_activations(model, x))
     monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 100)
     # BLAS blocking differs with batch shape, so equality is up to rounding
-    np.testing.assert_allclose(batched, record_activations(model, x), rtol=0.0, atol=1e-12)
+    single = np.concatenate(record_activations(model, x))
+    np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.slow
@@ -509,10 +525,10 @@ def test_eval_batch_gives_the_bits_of_2048_example_chunks(activation, monkeypatc
     images = rng.integers(0, 256, size=(10000, 784), dtype=np.uint8)
     labels = rng.integers(0, 10, size=10000)
     model = init_model(MlpArchitecture(activation=activation), np.random.default_rng(42))
-    table = record_activations(model, images).tobytes()
+    table = np.concatenate(record_activations(model, images)).tobytes()
     accuracy = evaluate_accuracy(model, images, labels)
     monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 2048)
-    assert record_activations(model, images).tobytes() == table
+    assert np.concatenate(record_activations(model, images)).tobytes() == table
     assert evaluate_accuracy(model, images, labels) == accuracy
 
 
@@ -529,7 +545,6 @@ def test_architecture_validation():
     with pytest.raises(ValueError):
         MlpArchitecture(layer_widths=(5, 2), dropout_rate=1.0)
     arch = MlpArchitecture(layer_widths=(784, 256, 256, 256, 256, 10))
-    assert arch.n_neurons == 1818
     assert arch.n_classes == 10
 
 
@@ -546,3 +561,16 @@ def test_model_rejects_parameters_of_other_shapes():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+def test_counts_must_be_integers():
+    with pytest.raises(ValueError, match=r"layer_widths\[1\] must be an integer, got 8.9"):
+        MlpArchitecture(layer_widths=(784, 8.9, 10))
+    with pytest.raises(ValueError, match="epochs must be an integer, got 2.5"):
+        TrainConfig(epochs=2.5)
+    with pytest.raises(ValueError, match="rng_seed must be an integer, got True"):
+        TrainConfig(rng_seed=True)
+    arch = MlpArchitecture(layer_widths=(np.int64(4), np.int32(2)))
+    cfg = TrainConfig(epochs=np.int64(2), rng_seed=np.uint8(3))
+    assert arch.layer_widths == (4, 2) and (cfg.epochs, cfg.rng_seed) == (2, 3)
+    assert all(type(v) is int for v in (*arch.layer_widths, cfg.epochs, cfg.rng_seed))

@@ -443,7 +443,7 @@ def test_cluster_graph_rejects_invalid_adjacency(adjacency, fault):
 def _layered_with_entry(t, i, j, value):
     blocks = [np.ones((3, 4)), np.ones((4, 2))]
     blocks[t][i, j] = value
-    return LayeredGraph.from_layers((3, 4, 2), blocks)
+    return LayeredGraph.from_layers(blocks)
 
 
 @pytest.mark.parametrize(
@@ -453,8 +453,8 @@ def _layered_with_entry(t, i, j, value):
         pytest.param(lambda: _layered_with_entry(0, 0, 3, np.inf), "non-finite", id="inf"),
         pytest.param(lambda: _layered_with_entry(1, 0, 0, -1.0), "negative", id="negative"),
         pytest.param(
-            lambda: LayeredGraph.from_layers((3, 4, 2), [np.ones((3, 4)), np.ones((2, 4))]),
-            r"block 1 has shape \(2, 4\), expected \(4, 2\)",
+            lambda: LayeredGraph.from_layers([np.ones((3, 4)), np.ones((2, 4))]),
+            r"block 1 has shape \(2, 4\) but block 0 has shape \(3, 4\)",
             id="block-shape",
         ),
     ],
@@ -511,7 +511,7 @@ def _planted_layered(rng, widths, n_modules, cross=0.02):
         rng.uniform(0.5, 1.0, (len(ma), len(mb))) * np.where(ma[:, None] == mb, 1.0, cross)
         for ma, mb in zip(modules, modules[1:])
     ]
-    return LayeredGraph.from_layers(widths, blocks), np.concatenate(modules)
+    return LayeredGraph.from_layers(blocks), np.concatenate(modules)
 
 
 @pytest.mark.parametrize("widths", [(40, 16, 16, 16, 16, 8), (24, 12, 12, 8)], ids=str)
@@ -537,7 +537,7 @@ def test_block_path_matches_dense_with_dropped_nodes_and_a_dead_layer():
             for t in (dead_layer - 1, dead_layer):
                 if 0 <= t < len(blocks):
                     blocks[t][:] = 0.0
-        result = assert_block_path_matches_dense(LayeredGraph.from_layers(widths, blocks), k)
+        result = assert_block_path_matches_dense(LayeredGraph.from_layers(blocks), k)
         assert result.labels[[1, 5, starts[-2] + 4]].tolist() == [-1, -1, -1]
         if dead_layer is not None:
             assert np.all(result.labels[starts[dead_layer] : starts[dead_layer + 1]] == -1)
@@ -590,7 +590,7 @@ def test_bipartite_eigenvectors_of_nan_block_raise(monkeypatch):
 
 
 def test_bipartite_eigenvectors_reject_zero_degree():
-    graph = LayeredGraph.from_layers((2, 2), [np.array([[1.0, 0.0], [0.0, 0.0]])])
+    graph = LayeredGraph.from_layers([np.array([[1.0, 0.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="zero degree"):
         bipartite_eigenvectors(graph, 1)
 
@@ -600,3 +600,12 @@ def test_spectral_config_validation():
         SpectralConfig(k=1)
     with pytest.raises(ValueError):
         SpectralConfig(rng_seed=-1)
+
+
+def test_spectral_config_takes_only_integers():
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        SpectralConfig(k=2.5)
+    with pytest.raises(ValueError, match="rng_seed must be an integer, got True"):
+        SpectralConfig(rng_seed=True)
+    cfg = SpectralConfig(k=np.int64(3), rng_seed=np.uint8(1))
+    assert (cfg.k, cfg.rng_seed) == (3, 1) and type(cfg.k) is int
