@@ -11,19 +11,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError, save_checkpoint, write_json
-from .data import KNOWN_DATASETS, DataError, load_dataset, load_splits
+from .checkpoint import CheckpointError, write_json
+from .data import KNOWN_DATASETS, DataError, load_splits
 from .harness import (
-    METHODS,
-    ExperimentConfig,
-    StageError,
-    analyze_checkpoint,
-    checkpoint_filename,
-    load_reports,
-    run_grid,
-    write_tables,
+    METHODS, ExperimentConfig, StageError, analyze_checkpoint, checkpoint_filename,
+    load_experiment_data, load_reports, run_grid, train_and_save, write_tables,
 )
-from .mlp import ACTIVATIONS, TrainConfig, evaluate_accuracy, train
+from .mlp import ACTIVATIONS, TrainConfig, evaluate_accuracy
 from .spectral import SpectralConfig
 
 EXIT_OK = 0
@@ -95,11 +89,10 @@ def _cmd_train(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
-    dataset = load_dataset(args.dataset, args.data_dir)
-    model = train(dataset.train, cfg.architecture, cfg.train)
-    accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
+    dataset = load_experiment_data(cfg, args.data_dir, wall_times={})
     ckpt = out_dir / checkpoint_filename(cfg)
-    save_checkpoint(model, ckpt)
+    model = train_and_save(cfg, dataset.train, ckpt)
+    accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
     summary = {
         "dataset": args.dataset,
         "activation": args.activation,

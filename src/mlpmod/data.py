@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
+
 __all__ = [
     "DataError",
     "IMAGE_MAGIC",
@@ -143,15 +145,15 @@ def load_idx_labels(path) -> np.ndarray:
 
 def write_idx_images(path, images: np.ndarray) -> None:
     """Write a (m, 784) or (m, 28, 28) uint8 array as an uncompressed IDX
-    image file."""
+    image file, through :func:`~mlpmod.checkpoint.write_atomic`."""
     arr = np.asarray(images, dtype=np.uint8).reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
     header = struct.pack(">IIII", IMAGE_MAGIC, arr.shape[0], IMAGE_SIDE, IMAGE_SIDE)
-    Path(path).write_bytes(header + arr.tobytes())
+    write_atomic(path, header + arr.tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     arr = np.asarray(labels, dtype=np.uint8).reshape(-1)
-    Path(path).write_bytes(struct.pack(">II", LABEL_MAGIC, arr.shape[0]) + arr.tobytes())
+    write_atomic(path, struct.pack(">II", LABEL_MAGIC, arr.shape[0]) + arr.tobytes())
 
 
 def load_split_files(images_path, labels_path, split: str) -> LabeledImageSet:

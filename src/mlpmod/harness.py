@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic, write_json
 from .correlation import build_correlation_adjacency
-from .data import DataError, LabeledImageSet, load_dataset
+from .data import DataError, Dataset, LabeledImageSet, load_dataset
 from .graph import build_weight_adjacency
 from .mlp import (
     ACTIVATIONS,
@@ -50,6 +50,8 @@ __all__ = [
     "config_fingerprint",
     "checkpoint_filename",
     "report_filename",
+    "load_experiment_data",
+    "train_and_save",
     "run_experiment",
     "analyze_checkpoint",
     "run_grid",
@@ -328,6 +330,36 @@ def _analyze_model(
     )
 
 
+def load_experiment_data(
+    cfg: ExperimentConfig, data_dir, wall_times: dict, dataset_cache: dict | None = None
+) -> Dataset:
+    """The dataset ``cfg`` names under ``data_dir``, with both splits checked
+    for ``cfg``.
+
+    The load runs as the ``load-data`` stage, timed in ``wall_times``; it
+    takes the dataset from ``dataset_cache`` when that holds it, and stores
+    a fresh load there. A training split that ``_check_split`` rejects, or
+    a test split that ``_check_test_split`` rejects, raises ``DataError``.
+    """
+    with _stage("load-data", wall_times):
+        cache = {} if dataset_cache is None else dataset_cache
+        key = (cfg.dataset, str(data_dir))
+        if key not in cache:
+            cache[key] = load_dataset(cfg.dataset, data_dir)
+        dataset = cache[key]
+    _check_split(dataset.train, "training", "training", 1, cfg.layer_widths)
+    _check_test_split(cfg.method, dataset.test, cfg.layer_widths)
+    return dataset
+
+
+def train_and_save(cfg: ExperimentConfig, train_set: LabeledImageSet, path) -> MlpModel:
+    """Train ``cfg.architecture`` on ``train_set`` under ``cfg.train`` and
+    write the model's checkpoint to ``path``."""
+    model = train(train_set, cfg.architecture, cfg.train)
+    save_checkpoint(model, path)
+    return model
+
+
 def _load_cached(path: Path, arch: MlpArchitecture) -> MlpModel | None:
     """The model cached at ``path``, or None when there is none to reuse.
 
@@ -356,9 +388,8 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment end to end and persist its artifacts.
 
-    Both splits are checked before any training: a training split that
-    ``_check_split`` rejects, or a test split that ``_check_test_split``
-    rejects, raises ``DataError``. Trains the model unless a checkpoint for
+    Both splits are checked by ``load_experiment_data`` before any
+    training. Trains the model with ``train_and_save`` unless a checkpoint for
     the same config fingerprint already exists under ``out_dir/checkpoints``;
     a corrupt or mismatched cached checkpoint is retrained and overwritten.
     Writes the report JSON to ``out_dir/reports``. Deterministic for fixed
@@ -368,24 +399,13 @@ def run_experiment(
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
     wall_times: dict = {}
-
-    with _stage("load-data", wall_times):
-        key = (cfg.dataset, str(data_dir))
-        if dataset_cache is not None and key in dataset_cache:
-            dataset = dataset_cache[key]
-        else:
-            dataset = load_dataset(cfg.dataset, data_dir)
-            if dataset_cache is not None:
-                dataset_cache[key] = dataset
-    _check_split(dataset.train, "training", "training", 1, cfg.layer_widths)
-    _check_test_split(cfg.method, dataset.test, cfg.layer_widths)
+    dataset = load_experiment_data(cfg, data_dir, wall_times, dataset_cache)
 
     ckpt_path = out_dir / "checkpoints" / checkpoint_filename(cfg)
     with _stage("train-or-load", wall_times):
         model = _load_cached(ckpt_path, cfg.architecture)
         if model is None:
-            model = train(dataset.train, cfg.architecture, cfg.train)
-            save_checkpoint(model, ckpt_path)
+            model = train_and_save(cfg, dataset.train, ckpt_path)
 
     report = _analyze_model(
         model,
@@ -502,6 +522,11 @@ def _cell_key(r: ExperimentReport):
     return (r.method, r.dataset, r.activation, r.dropout)
 
 
+def _run_key(r: ExperimentReport):
+    """The run a report holds: its cell and seed, one ``grid.csv`` row."""
+    return (*_cell_key(r), r.seed)
+
+
 def _cell_means(reports) -> dict:
     cells: dict = {}
     for r in reports:
@@ -520,10 +545,7 @@ def _cell_means(reports) -> dict:
 def render_method_table(reports, method: str) -> str:
     """Aligned text table for one method, means over seeds per cell."""
     means = _cell_means([r for r in reports if r.method == method])
-    datasets = []
-    for key in means:
-        if key[1] not in datasets:
-            datasets.append(key[1])
+    datasets = list(dict.fromkeys(key[1] for key in means))
     rows = [list(TABLE_COLUMNS)]
     for dataset in datasets:
         for activation, dropout in _ROW_ORDER:
@@ -553,28 +575,13 @@ def grid_csv_rows(reports) -> list[list]:
         "test_accuracy_percent", "ncut",
     ]
     rows = [header]
-    ordered = sorted(
-        reports,
-        key=lambda r: (r.method, str(r.dataset), r.activation, r.dropout, str(r.seed)),
-    )
-    for r in ordered:
-        rows.append(
-            [
-                r.method, r.dataset, r.activation, r.dropout, r.seed,
-                r.test_accuracy_percent, r.ncut,
-            ]
-        )
+    for r in sorted(reports, key=lambda r: tuple(map(str, _run_key(r)))):
+        rows.append([*_run_key(r), r.test_accuracy_percent, r.ncut])
     means = _cell_means(reports)
     if any(cell["n_seeds"] > 1 for cell in means.values()):
-        for key in sorted(means, key=lambda k: tuple(str(x) for x in k)):
-            method, dataset, activation, dropout = key
+        for key in sorted(means, key=lambda k: tuple(map(str, k))):
             cell = means[key]
-            rows.append(
-                [
-                    method, dataset, activation, dropout, "mean",
-                    cell["test_accuracy_percent"], cell["ncut"],
-                ]
-            )
+            rows.append([*key, "mean", cell["test_accuracy_percent"], cell["ncut"]])
     return rows
 
 
@@ -644,7 +651,31 @@ def ordering_summary(reports) -> dict:
     }
 
 
+def _protocol(r: ExperimentReport) -> list:
+    """What the reports of one set share, as (field, value) pairs: every
+    setting but the training seed."""
+    train = r.train_config and {**r.train_config, "rng_seed": None}
+    return [("layer_widths", r.layer_widths), ("k", r.k),
+            ("spectral_config", r.spectral_config), ("train_config", train)]
+
+
 def load_reports(reports_dir) -> list[ExperimentReport]:
-    """Read every report_*.json under a directory (recursively)."""
+    """Read every report_*.json under a directory (recursively).
+
+    The files must make one report set: a ``DataError`` names two files
+    that differ in ``layer_widths``, ``k``, ``spectral_config`` or
+    ``train_config`` apart from its ``rng_seed``, or that hold the same
+    run, the same (method, dataset, activation, dropout, seed).
+    """
     paths = sorted(Path(reports_dir).rglob("report_*.json"))
-    return [ExperimentReport.read_json(p) for p in paths]
+    reports = [ExperimentReport.read_json(p) for p in paths]
+    path_of_run: dict = {}
+    for path, r in zip(paths, reports):
+        differ = [a for a, b in zip(_protocol(reports[0]), _protocol(r)) if a != b]
+        if differ:
+            raise DataError(f"{paths[0]} and {path} differ in {differ[0][0]}; "
+                            "a report set holds one protocol")
+        first_path = path_of_run.setdefault(_run_key(r), path)
+        if first_path != path:
+            raise DataError(f"{first_path} and {path} both hold the run {_run_key(r)}")
+    return reports

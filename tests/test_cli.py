@@ -1,16 +1,23 @@
 import json
 import subprocess
 import sys
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mlpmod import cli
+from mlpmod import cli, harness
 from mlpmod.checkpoint import save_checkpoint
-from mlpmod.data import SPLIT_FILES, make_synthetic_dataset, write_idx_images, write_idx_labels
-from mlpmod.harness import ExperimentReport, run_experiment, run_grid
-from mlpmod.mlp import MlpArchitecture, init_model
+from mlpmod.data import (
+    SPLIT_FILES,
+    LabeledImageSet,
+    load_dataset,
+    make_synthetic_dataset,
+    write_idx_images,
+    write_idx_labels,
+)
+from mlpmod.harness import ExperimentConfig, ExperimentReport, run_experiment, run_grid
+from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
 
 from conftest import SMOKE_WIDTHS, smoke_config
 
@@ -177,8 +184,8 @@ def test_train_output_under_regular_file_fails_before_training(tmp_path, monkeyp
     def too_late(*args, **kwargs):
         pytest.fail("train loaded data or trained before creating --out")
 
-    monkeypatch.setattr(cli, "load_dataset", too_late)
-    monkeypatch.setattr(cli, "train", too_late)
+    monkeypatch.setattr(harness, "load_dataset", too_late)
+    monkeypatch.setattr(harness, "train", too_late)
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
     code = cli.main([
@@ -376,18 +383,34 @@ def test_interrupt_exits_130_without_traceback(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "interrupted\n"
 
 
-def test_value_error_inside_training_is_numerical_failure(tmp_path, monkeypatch, capsys):
+def _train_on_smoke(smoke_data_dir, out_dir, monkeypatch, **changes):
+    """``mlpmod train`` on the smoke splits, with ``changes`` made to them,
+    standing in for an mnist directory."""
+    smoke = replace(load_dataset("smoke", smoke_data_dir), **changes)
+    monkeypatch.setattr(harness, "load_dataset", lambda name, data_dir: smoke)
+    return cli.main([
+        "train", "--dataset", "mnist", "--activation", "relu",
+        "--data-dir", str(smoke_data_dir), "--out", str(out_dir),
+    ])
+
+
+def test_value_error_inside_training_is_numerical_failure(
+    smoke_data_dir, tmp_path, monkeypatch, capsys
+):
     def fail(*args, **kwargs):
         raise ValueError("bad value deep in training")
 
-    monkeypatch.setattr(cli, "load_dataset", lambda name, data_dir: SimpleNamespace(train=None))
-    monkeypatch.setattr(cli, "train", fail)
-    code = cli.main([
-        "train", "--dataset", "mnist", "--activation", "relu",
-        "--data-dir", str(tmp_path), "--out", str(tmp_path),
-    ])
-    assert code == 3
+    monkeypatch.setattr(harness, "train", fail)
+    assert _train_on_smoke(smoke_data_dir, tmp_path, monkeypatch) == 3
     assert "numerical failure: bad value deep in training" in capsys.readouterr().err
+
+
+def test_train_refuses_an_empty_training_split(smoke_data_dir, tmp_path, monkeypatch, capsys):
+    smoke_train = load_dataset("smoke", smoke_data_dir).train
+    empty = LabeledImageSet(smoke_train.images[:0], smoke_train.labels[:0], "train")
+    assert _train_on_smoke(smoke_data_dir, tmp_path / "out", monkeypatch, train=empty) == 2
+    assert "data error: the training split has 0 example(s)" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_report_command_empty_dir_is_data_error(tmp_path):
@@ -443,6 +466,18 @@ def test_report_command_malformed_report_is_data_error(tmp_path, content, fault)
     assert fault in proc.stderr
 
 
+def test_report_command_on_grids_of_two_protocols_is_data_error(smoke_data_dir, tmp_path):
+    grid = dict(seeds=[0], datasets=["smoke"])
+    run_grid(smoke_data_dir, tmp_path / "g" / "a", epochs=1, layer_widths=(784, 16, 16, 10), **grid)
+    run_grid(smoke_data_dir, tmp_path / "g" / "b", epochs=3, layer_widths=(784, 32, 10), **grid)
+    proc = run_cli("report", "--in", str(tmp_path / "g"))
+    assert proc.returncode == 2, proc.stderr
+    first = "report_smoke_relu_dropout_spearman_seed0.json"
+    a, b = (tmp_path / "g" / name / "reports" / first for name in "ab")
+    assert f"data error: {a} and {b} differ in layer_widths" in proc.stderr
+    assert not (tmp_path / "g" / "grid.csv").exists()
+
+
 @pytest.mark.slow
 def test_train_cli_full_shape(full_shape_mnist_dir, tmp_path):
     # full-size synthetic stand-in so the mnist split-size contract holds
@@ -460,3 +495,10 @@ def test_train_cli_full_shape(full_shape_mnist_dir, tmp_path):
     assert 0.0 <= summary["test_accuracy_percent"] <= 100.0
     # random labels: accuracy should hover near chance
     assert summary["test_accuracy_percent"] < 30.0
+    # the grid's path trains the same model from the same config
+    cfg = ExperimentConfig(dataset="mnist", activation="relu", train=TrainConfig(epochs=1))
+    report = run_experiment(cfg, full_shape_mnist_dir, tmp_path / "experiment")
+    assert report.checkpoint == ckpts[0].name
+    grid_ckpt = tmp_path / "experiment" / "checkpoints" / report.checkpoint
+    assert grid_ckpt.read_bytes() == ckpts[0].read_bytes()
+    assert report.test_accuracy_percent == summary["test_accuracy_percent"]

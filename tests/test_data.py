@@ -1,4 +1,5 @@
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -37,6 +38,16 @@ def test_label_round_trip(tmp_path):
     path = tmp_path / "labels-idx1-ubyte"
     write_idx_labels(path, labels)
     np.testing.assert_array_equal(load_idx_labels(path), labels)
+
+
+def test_image_write_that_fails_leaves_no_file(fixture_images, tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_idx_images(tmp_path / "images-idx3-ubyte", fixture_images)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gzip_transparency(fixture_images, tmp_path):

@@ -536,6 +536,49 @@ def test_grid_csv_has_per_seed_and_mean_rows():
     assert rows[3][6] == pytest.approx(2.1)
 
 
+def _write_report_set(root, reports):
+    """Write each report to its own subdirectory ``<i>/`` of ``root``."""
+    for i, report in enumerate(reports):
+        (root / str(i)).mkdir(parents=True)
+        report.write_json(root / str(i) / f"report_{i}.json")
+
+
+def _trained_report(seed, **changes):
+    train_config = TrainConfig(epochs=1, rng_seed=seed).to_dict()
+    report = _fake_report("weights", "mnist", "relu", False, seed, 2.0)
+    return replace(report, **{"train_config": train_config, **changes})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("layer_widths", [4, 2]),
+        ("k", 3),
+        ("spectral_config", {"k": 4, "rng_seed": 1}),
+        ("train_config", TrainConfig(epochs=3, rng_seed=1).to_dict()),
+    ],
+)
+def test_load_reports_rejects_a_set_of_two_protocols(tmp_path, field, value):
+    # runs of two seeds share one protocol, though their train_config differs in rng_seed
+    _write_report_set(tmp_path / "same", [_trained_report(0), _trained_report(1)])
+    assert [r.seed for r in load_reports(tmp_path / "same")] == [0, 1]
+    mixed = [_trained_report(0), _trained_report(1, **{field: value})]
+    _write_report_set(tmp_path / "mixed", mixed)
+    fault = rf"0.report_0.json and \S+1.report_1.json differ in {field};"
+    with pytest.raises(DataError, match=fault):
+        load_reports(tmp_path / "mixed")
+
+
+def test_load_reports_rejects_a_run_held_twice(tmp_path):
+    _write_report_set(tmp_path, [_trained_report(0), _trained_report(1), _trained_report(0)])
+    with pytest.raises(
+        DataError,
+        match=r"0.report_0.json and \S+2.report_2.json both hold the run "
+        r"\('weights', 'mnist', 'relu', False, 0\)$",
+    ):
+        load_reports(tmp_path)
+
+
 def test_off_protocol_k_flagged(smoke_data_dir, tmp_path):
     cfg = smoke_config("weights", k=3)
     report = run_experiment(cfg, smoke_data_dir, tmp_path)

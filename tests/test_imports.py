@@ -53,3 +53,16 @@ def test_every_module_uses_the_names_it_imports():
             if name not in used
         ]
     assert not unused, unused
+
+
+def test_the_cli_trains_through_the_harness():
+    """``mlpmod train`` loads, trains and saves through the functions
+    ``run_experiment`` uses, so the command imports none of their parts."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"load_dataset", "train", "save_checkpoint"}
