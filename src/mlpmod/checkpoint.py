@@ -64,16 +64,18 @@ def save_checkpoint(model: MlpModel, path) -> None:
         _ACTIVATION_TAGS[arch.activation],
         arch.dropout_rate,
     )
-    write_atomic(path, header + model.params.astype("<f8", copy=False).tobytes())
+    write_atomic(path, header, np.ascontiguousarray(model.params, dtype="<f8"))
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path`` that then replaces
+def write_atomic(path, *parts) -> None:
+    """Write ``parts`` (bytes, or C-contiguous arrays written from their own
+    buffers) in order to a temporary file beside ``path`` that then replaces
     it, so an interrupted write never leaves a truncated file at ``path``.
     The temporary is removed when anything fails."""
     tmp = Path(str(path) + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            f.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):  # the first failure is the one to report

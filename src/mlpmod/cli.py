@@ -18,7 +18,7 @@ from .harness import (
     load_experiment_data, load_reports, run_grid, train_and_save, write_tables,
 )
 from .mlp import ACTIVATIONS, TrainConfig, evaluate_accuracy
-from .spectral import SpectralConfig
+from .spectral import SpectralConfig, TooFewNodesError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,8 +44,8 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--dataset", required=True, choices=list(KNOWN_DATASETS))
     p_train.add_argument("--activation", required=True, choices=ACTIVATIONS)
     p_train.add_argument("--dropout", action="store_true")
-    p_train.add_argument("--epochs", type=int, default=20)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.rng_seed)
     p_train.add_argument("--data-dir", required=True)
     p_train.add_argument("--out", required=True)
 
@@ -54,15 +54,15 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--method", required=True, choices=METHODS)
     p_an.add_argument("--data-dir", default=None,
                       help="directory holding the t10k-* IDX files (spearman/accuracy)")
-    p_an.add_argument("--k", type=int, default=4)
-    p_an.add_argument("--seed", type=int, default=0,
+    p_an.add_argument("--k", type=int, default=SpectralConfig.k)
+    p_an.add_argument("--seed", type=int, default=SpectralConfig.rng_seed,
                       help="clustering rng seed")
     p_an.add_argument("--out", required=True)
 
     p_grid = sub.add_parser("grid", help="run the full experiment grid")
-    p_grid.add_argument("--seeds", default="0",
-                        help="comma-separated training seeds (default: 0)")
-    p_grid.add_argument("--epochs", type=int, default=20)
+    p_grid.add_argument("--seeds", default=str(TrainConfig.rng_seed),
+                        help="comma-separated training seeds (default: %(default)s)")
+    p_grid.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_grid.add_argument("--data-dir", required=True)
     p_grid.add_argument("--out", required=True)
 
@@ -165,7 +165,7 @@ _COMMANDS = {
 }
 
 # OSError covers missing inputs and unwritable or invalid output paths alike
-_DATA_ERRORS = (DataError, CheckpointError, OSError)
+_DATA_ERRORS = (DataError, CheckpointError, OSError, TooFewNodesError)
 
 
 def _classify(exc: BaseException) -> int:

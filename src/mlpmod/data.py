@@ -51,11 +51,10 @@ SPLIT_FILES = {
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 
-# split sizes are enforced for these two dataset names
-KNOWN_DATASETS = {
-    "mnist": {"train": 60000, "test": 10000},
-    "fashion_mnist": {"train": 60000, "test": 10000},
-}
+# the paper's datasets, by directory name and the name tables show; their
+# split sizes are enforced
+KNOWN_DATASETS = {"mnist": "MNIST", "fashion_mnist": "FashionMNIST"}
+KNOWN_SPLIT_SIZES = {"train": 60000, "test": 10000}
 
 
 class DataError(Exception):
@@ -146,14 +145,14 @@ def load_idx_labels(path) -> np.ndarray:
 def write_idx_images(path, images: np.ndarray) -> None:
     """Write a (m, 784) or (m, 28, 28) uint8 array as an uncompressed IDX
     image file, through :func:`~mlpmod.checkpoint.write_atomic`."""
-    arr = np.asarray(images, dtype=np.uint8).reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+    arr = np.ascontiguousarray(images, dtype=np.uint8).reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
     header = struct.pack(">IIII", IMAGE_MAGIC, arr.shape[0], IMAGE_SIDE, IMAGE_SIDE)
-    write_atomic(path, header + arr.tobytes())
+    write_atomic(path, header, arr)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    arr = np.asarray(labels, dtype=np.uint8).reshape(-1)
-    write_atomic(path, struct.pack(">II", LABEL_MAGIC, arr.shape[0]) + arr.tobytes())
+    arr = np.ascontiguousarray(labels, dtype=np.uint8).reshape(-1)
+    write_atomic(path, struct.pack(">II", LABEL_MAGIC, arr.shape[0]), arr)
 
 
 def load_split_files(images_path, labels_path, split: str) -> LabeledImageSet:
@@ -201,7 +200,7 @@ def load_dataset(name: str, data_dir) -> Dataset:
     directory = Path(data_dir) / name
     splits = load_splits(directory, SPLIT_FILES)
     if name in KNOWN_DATASETS:
-        for split, expected in KNOWN_DATASETS[name].items():
+        for split, expected in KNOWN_SPLIT_SIZES.items():
             got = len(splits[split])
             if got != expected:
                 raise DataError(

@@ -44,7 +44,7 @@ class LayeredGraph:
     block: np.ndarray
 
     def __post_init__(self):
-        expected = (np.count_nonzero(self.even), np.count_nonzero(~self.even))
+        expected = (int(np.count_nonzero(self.even)), int(np.count_nonzero(~self.even)))
         if self.block.shape != expected:
             raise ValueError(f"block has shape {self.block.shape}, expected {expected}")
 

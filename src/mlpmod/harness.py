@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_atomic, write_json
 from .correlation import build_correlation_adjacency
-from .data import DataError, Dataset, LabeledImageSet, load_dataset
+from .data import KNOWN_DATASETS, DataError, Dataset, LabeledImageSet, load_dataset
 from .graph import build_weight_adjacency
 from .mlp import (
     ACTIVATIONS,
@@ -75,7 +75,6 @@ CONVENTIONS = {
 
 TABLE_COLUMNS = ("Data Set", "Activation Function", "Dropout", "Test Accuracy(%)", "N-Cut")
 
-_DATASET_DISPLAY = {"mnist": "MNIST", "fashion_mnist": "FashionMNIST"}
 _ACTIVATION_DISPLAY = {"relu": "ReLU", "sigmoid": "Sigmoid"}
 
 # table row order within one dataset: (activation, dropout)
@@ -103,7 +102,7 @@ def _stage(name: str, wall_times: dict):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: str = "mnist"
+    dataset: str = next(iter(KNOWN_DATASETS))
     activation: str = "relu"
     dropout: bool = False
     method: str = "weights"
@@ -279,9 +278,7 @@ def _analyze_model(
     The caller has passed ``method`` and ``test_set`` through
     ``_check_test_split``. Test accuracy is measured whenever ``test_set``
     is given; under spearman it comes from the last recorded layer, the
-    logits, so each method runs the test set through the model once. A
-    ``spectral.k`` above the graph's positive count of nodes of nonzero
-    degree raises ``DataError`` naming both.
+    logits, so each method runs the test set through the model once.
     """
     arch = model.architecture
     accuracy = None
@@ -297,13 +294,6 @@ def _analyze_model(
     if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
             accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
-    # more clusters than nodes of nonzero degree is a data error; a graph with
-    # no edge at all is degenerate, and cluster_graph fails on it
-    n_kept = np.count_nonzero(graph.degrees())
-    if 0 < n_kept < spectral.k:
-        raise DataError(
-            f"k={spectral.k} exceeds the {n_kept} nodes of nonzero degree in the {method} graph"
-        )
     with _stage("cluster", wall_times):
         result = cluster_graph(graph, spectral)
     sizes = result.cluster_sizes().tolist()
@@ -323,7 +313,7 @@ def _analyze_model(
         layer_cluster_counts=layer_counts.tolist(),
         dropped_nodes=int(np.count_nonzero(~kept)),
         kmeans_cost=float(result.kmeans_cost),
-        off_protocol_k=spectral.k != 4,  # the paper clusters into 4
+        off_protocol_k=spectral.k != SpectralConfig.k,  # the paper's k is the default
         spectral_config=spectral.to_dict(),
         wall_times=wall_times,
         **provenance,
@@ -463,15 +453,15 @@ class GridResult:
 def run_grid(
     data_dir,
     out_dir,
-    seeds=(0,),
-    epochs: int = 20,
-    datasets=("mnist", "fashion_mnist"),
+    seeds=(TrainConfig.rng_seed,),
+    epochs: int = TrainConfig.epochs,
+    datasets=tuple(KNOWN_DATASETS),
     layer_widths=DEFAULT_LAYER_WIDTHS,
 ) -> GridResult:
     """All dataset x activation x dropout cells, both methods, every seed.
 
     Each cell trains for ``epochs`` with its seed and clusters under the
-    default ``SpectralConfig``, the paper's k = 4. A failing cell is
+    default ``SpectralConfig``, whose k is the paper's. A failing cell is
     recorded and skipped; the rest of the grid continues. Writes
     per-experiment JSON, the tables and grid CSV of ``write_tables``, and a
     summary JSON with the activation-ordering and dropout-effect checks.
@@ -555,7 +545,7 @@ def render_method_table(reports, method: str) -> str:
             acc = cell["test_accuracy_percent"]
             rows.append(
                 [
-                    "-" if dataset is None else _DATASET_DISPLAY.get(dataset, dataset),
+                    "-" if dataset is None else KNOWN_DATASETS.get(dataset, dataset),
                     _ACTIVATION_DISPLAY.get(activation, activation),
                     "Yes" if dropout else "No",
                     "-" if acc is None else f"{acc:.1f}",

@@ -265,17 +265,19 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient wrt logits (already batch-averaged)."""
+    """Mean cross-entropy and its gradient wrt logits (already batch-averaged),
+    summing each row once and turning its probabilities into the gradient in place."""
     m = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        log_norm = np.log(exp.sum(axis=1))
+        grad = np.exp(shifted)
+        total = grad.sum(axis=1, keepdims=True)
+        log_norm = np.log(total.ravel())
+        grad /= total
     loss = float(np.mean(log_norm - shifted[np.arange(m), labels]))
-    grad = probs.copy()
     grad[np.arange(m), labels] -= 1.0
-    return loss, grad / m
+    grad /= m
+    return loss, grad
 
 
 def loss_and_gradients(

@@ -1,6 +1,5 @@
 import dataclasses
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from mlpmod.checkpoint import (
     save_checkpoint,
 )
 from mlpmod.mlp import MlpArchitecture, MlpModel, init_model
+
+from conftest import fail_writes_midway
 
 
 @pytest.fixture
@@ -124,6 +125,31 @@ def test_unknown_activation_tag_rejected(model, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("n_layers", [1, 1025])
+def test_implausible_layer_count_rejected(tmp_path, n_layers):
+    path = tmp_path / "model.mlpc"
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, n_layers))
+    with pytest.raises(CheckpointError, match=f"implausible layer count {n_layers}$"):
+        load_checkpoint(path)
+
+
+def test_zero_width_rejected(tmp_path):
+    path = tmp_path / "model.mlpc"
+    path.write_bytes(MAGIC + struct.pack("<II3IId", FORMAT_VERSION, 3, 6, 0, 4, 0, 0.0))
+    with pytest.raises(CheckpointError, match="invalid architecture: layer widths must be positive$"):
+        load_checkpoint(path)
+
+
+def test_dropout_of_one_rejected(model, tmp_path):
+    path = tmp_path / "model.mlpc"
+    save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    raw[28:36] = struct.pack("<d", 1.0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=r"invalid architecture: dropout_rate must lie in \[0, 1\)$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_parameters_rejected(model, tmp_path, bad):
     model.weights[1][2, 3] = bad
@@ -136,13 +162,7 @@ def test_non_finite_parameters_rejected(model, tmp_path, bad):
 
 def test_interrupted_write_leaves_no_file(model, tmp_path, monkeypatch):
     path = tmp_path / "model.mlpc"
-    real_write_bytes = Path.write_bytes
-
-    def write_half_then_fail(self, data):
-        real_write_bytes(self, data[: len(data) // 2])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    fail_writes_midway(monkeypatch, "disk full")
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(model, path)
     assert list(tmp_path.iterdir()) == []

@@ -18,6 +18,7 @@ from mlpmod.data import (
 )
 from mlpmod.harness import ExperimentConfig, ExperimentReport, run_experiment, run_grid
 from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
+from mlpmod.spectral import SpectralConfig
 
 from conftest import SMOKE_WIDTHS, smoke_config
 
@@ -28,6 +29,18 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def test_parser_defaults_are_the_protocol_configs():
+    parser = cli._build_parser()
+    train = parser.parse_args(
+        ["train", "--dataset", "mnist", "--activation", "relu", "--data-dir", "d", "--out", "o"]
+    )
+    assert (train.epochs, train.seed) == (TrainConfig().epochs, TrainConfig().rng_seed)
+    analyze = parser.parse_args(["analyze", "--checkpoint", "c", "--method", "weights", "--out", "o"])
+    assert (analyze.k, analyze.seed) == (SpectralConfig().k, SpectralConfig().rng_seed)
+    grid = parser.parse_args(["grid", "--data-dir", "d", "--out", "o"])
+    assert (grid.seeds, grid.epochs) == (str(TrainConfig().rng_seed), TrainConfig().epochs)
 
 
 def test_no_arguments_is_usage_error():
@@ -99,7 +112,7 @@ def test_degenerate_checkpoint_exit_code_3(tmp_path):
         "--out", str(tmp_path),
     )
     assert proc.returncode == 3
-    assert "numerical failure" in proc.stderr
+    assert "numerical failure: stage 'cluster' failed: the graph has no edge" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -117,7 +130,10 @@ def test_k_above_the_kept_nodes_is_data_error(smoke_data_dir, tmp_path, method, 
         "--data-dir", str(smoke_data_dir / "smoke"), "--out", str(tmp_path),
     )
     assert proc.returncode == 2, proc.stderr
-    assert f"data error: k={k} exceeds the {n_kept} nodes" in proc.stderr
+    assert (
+        f"data error: stage 'cluster' failed: k={k} exceeds the {n_kept} nodes of nonzero degree"
+        in proc.stderr
+    )
 
 
 def test_non_finite_checkpoint_is_data_error(tmp_path):

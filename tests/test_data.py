@@ -40,6 +40,23 @@ def test_label_round_trip(tmp_path):
     np.testing.assert_array_equal(load_idx_labels(path), labels)
 
 
+def test_non_contiguous_arrays_write_the_bytes_of_the_joined_form(tmp_path):
+    rng = np.random.default_rng(1)
+    wide = rng.integers(0, 256, size=(6, 2 * 784), dtype=np.uint8)
+    images = wide[::2, ::2]  # strided on both axes
+    labels = rng.integers(0, 10, size=12, dtype=np.uint8)[::4]
+    assert not images.flags.c_contiguous and not labels.flags.c_contiguous
+    write_idx_images(tmp_path / "images", images)
+    write_idx_labels(tmp_path / "labels", labels)
+    assert (tmp_path / "images").read_bytes() == (
+        struct.pack(">IIII", 2051, 3, 28, 28) + images.tobytes()
+    )
+    assert (tmp_path / "labels").read_bytes() == struct.pack(">II", 2049, 3) + labels.tobytes()
+    # a Fortran-order array is not C-contiguous either
+    write_idx_images(tmp_path / "fortran", np.asfortranarray(images))
+    assert (tmp_path / "fortran").read_bytes() == (tmp_path / "images").read_bytes()
+
+
 def test_image_write_that_fails_leaves_no_file(fixture_images, tmp_path, monkeypatch):
     def fail(*args):
         raise OSError("rename failed")

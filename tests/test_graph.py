@@ -347,6 +347,10 @@ def test_layered_graph_rejects_bad_shapes():
         LayeredGraph.from_layers([np.ones(4)])
     with pytest.raises(ValueError, match=r"block 1 has shape \(2, 0\); a block is 2-D with no"):
         LayeredGraph.from_layers([np.ones((3, 2)), np.ones((2, 0))])
+    # the direct constructor: one row per even node, one column per odd node
+    even = np.array([True, False, True, False, False])
+    with pytest.raises(ValueError, match=r"block has shape \(3, 2\), expected \(2, 3\)"):
+        LayeredGraph(even, np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("widths", LAYER_WIDTHS, ids=str)
@@ -386,6 +390,14 @@ def test_layered_ncut_rejects_what_dense_rejects():
         ncut(graph, np.array([0, 0, 0, 0]), 2)
     with pytest.raises(ValueError, match=r"shape \(4,\)"):
         ncut(graph, np.array([0, 1, 0]), 2)
+
+
+def test_ncut_rejects_a_label_equal_to_k():
+    graph = LayeredGraph.from_layers([np.ones((2, 2))])
+    labels = np.array([0, 1, 0, 2])
+    for g in (graph, graph.dense()):
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+            ncut(g, labels, 2)
 
 
 def test_subgraph_matches_dense_oracle_with_a_dead_layer():

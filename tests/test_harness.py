@@ -2,7 +2,6 @@ import json
 import logging
 import shutil
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from mlpmod.harness import (
 from mlpmod.mlp import TrainConfig
 from mlpmod.spectral import SpectralConfig
 
-from conftest import SMOKE_WIDTHS, smoke_config
+from conftest import SMOKE_WIDTHS, fail_writes_midway, smoke_config
 
 
 def _strip_wall_times(d):
@@ -103,14 +102,8 @@ def test_spearman_accuracy_comes_from_its_activation_table(
 
 def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, monkeypatch):
     cfg = smoke_config("weights")
-    real_write_bytes = Path.write_bytes
-
-    def write_half_then_fail(self, data):
-        real_write_bytes(self, data[: len(data) // 2])
-        raise OSError("killed mid-write")
-
     with monkeypatch.context() as patch:
-        patch.setattr(Path, "write_bytes", write_half_then_fail)
+        fail_writes_midway(patch, "killed mid-write")
         with pytest.raises(StageError, match="killed mid-write"):
             run_experiment(cfg, smoke_data_dir, tmp_path / "run")
     assert list((tmp_path / "run" / "checkpoints").iterdir()) == []

@@ -42,6 +42,20 @@ def reference_logistic(z):
     return out
 
 
+def reference_softmax_cross_entropy(logits, labels):
+    """Softmax cross-entropy written out: probabilities and the log-normalizer
+    from two sums of the exponentials, the gradient from a copy."""
+    m = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    log_norm = np.log(exp.sum(axis=1))
+    loss = float(np.mean(log_norm - shifted[np.arange(m), labels]))
+    grad = probs.copy()
+    grad[np.arange(m), labels] -= 1.0
+    return loss, grad / m
+
+
 def reference_adam_step(params, grads, m_list, v_list, t, lr=1e-3, beta1=0.9,
                         beta2=0.999, eps=1e-8):
     """Per-tensor Adam with explicit bias-corrected moments; ``t`` is the
@@ -200,11 +214,24 @@ def test_confident_correct_prediction_loss_near_zero():
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
+def test_softmax_cross_entropy_gives_the_bits_of_the_reference():
+    rng = np.random.default_rng(9)
+    for m, n_classes, scale in [(1, 2, 1.0), (128, 10, 3.0), (77, 10, 300.0), (512, 13, 1e-3)]:
+        logits = rng.normal(scale=scale, size=(m, n_classes))
+        labels = rng.integers(0, n_classes, size=m)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        want_loss, want_grad = reference_softmax_cross_entropy(logits, labels)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_labels_validated():
     model = make_model((4, 3))
     x = np.zeros((2, 4))
     with pytest.raises(ValueError, match="labels"):
         loss_and_gradients(model, x, np.array([0, 3]))
+    with pytest.raises(ValueError, match=r"labels must have shape \(2,\), got \(2, 1\)"):
+        loss_and_gradients(model, x, np.array([[0], [1]]))
 
 
 # ---------------------------------------------------------------------------

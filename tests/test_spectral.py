@@ -9,6 +9,7 @@ from mlpmod.spectral import (
     KMEANS_TOL,
     EigensolverError,
     SpectralConfig,
+    TooFewNodesError,
     bipartite_eigenvectors,
     cluster_graph,
     kmeans,
@@ -413,8 +414,18 @@ def test_cluster_graph_drops_zero_degree_nodes():
 def test_cluster_graph_too_few_live_nodes():
     a = np.zeros((5, 5))
     a[0, 1] = a[1, 0] = 1.0
-    with pytest.raises(ValueError, match="nonzero degree"):
-        cluster_graph(a, SpectralConfig(k=4, rng_seed=0))
+    # the same graph layered: two nodes joined by one edge, and three isolated nodes
+    layered = LayeredGraph.from_layers([np.ones((1, 1)), np.zeros((1, 3))])
+    for graph in (a, layered):
+        with pytest.raises(TooFewNodesError, match="^k=4 exceeds the 2 nodes of nonzero degree$"):
+            cluster_graph(graph, SpectralConfig(k=4, rng_seed=0))
+
+
+def test_cluster_graph_without_edges_is_not_too_few_nodes():
+    for graph in (np.zeros((5, 5)), LayeredGraph.from_layers([np.zeros((2, 3))])):
+        with pytest.raises(ValueError, match="no edge") as caught:
+            cluster_graph(graph, SpectralConfig(k=2, rng_seed=0))
+        assert not isinstance(caught.value, TooFewNodesError)
 
 
 def _with_entry(i, j, value, mirror=True):
@@ -587,6 +598,13 @@ def test_bipartite_eigenvectors_of_nan_block_raise(monkeypatch):
         graph.block[width + 3, 2] = np.nan  # layer 1 node 2 to layer 2 node 3
         with pytest.raises(EigensolverError):
             bipartite_eigenvectors(graph, 2)
+
+
+@pytest.mark.parametrize("n_vectors", [0, 6])
+def test_bipartite_eigenvectors_n_vectors_out_of_range(n_vectors):
+    graph = LayeredGraph.from_layers([np.ones((2, 3))])
+    with pytest.raises(ValueError, match=rf"need 1 <= n_vectors <= 5, got {n_vectors}"):
+        bipartite_eigenvectors(graph, n_vectors)
 
 
 def test_bipartite_eigenvectors_reject_zero_degree():
