@@ -14,10 +14,11 @@ from pathlib import Path
 from .checkpoint import CheckpointError, write_json
 from .data import KNOWN_DATASETS, DataError, load_splits
 from .harness import (
-    METHODS, ExperimentConfig, StageError, analyze_checkpoint, checkpoint_filename,
-    load_experiment_data, load_reports, run_grid, train_and_save, write_tables,
+    ExperimentConfig, StageError, analyze_checkpoint, checkpoint_filename,
+    load_experiment_data, run_grid, train_and_save,
 )
 from .mlp import ACTIVATIONS, TrainConfig, evaluate_accuracy
+from .report import METHODS, load_reports, write_tables
 from .spectral import SpectralConfig, TooFewNodesError
 
 EXIT_OK = 0

@@ -16,8 +16,9 @@ from mlpmod.data import (
     write_idx_images,
     write_idx_labels,
 )
-from mlpmod.harness import ExperimentConfig, ExperimentReport, run_experiment, run_grid
+from mlpmod.harness import ExperimentConfig, run_experiment, run_grid
 from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
+from mlpmod.report import ExperimentReport
 from mlpmod.spectral import SpectralConfig
 
 from conftest import SMOKE_WIDTHS, smoke_config

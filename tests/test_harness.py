@@ -9,22 +9,24 @@ import pytest
 from mlpmod import harness
 from mlpmod.data import DataError, load_dataset, make_synthetic_dataset
 from mlpmod.harness import (
-    METHODS,
     ExperimentConfig,
-    ExperimentReport,
     StageError,
     analyze_checkpoint,
     checkpoint_filename,
     config_fingerprint,
-    grid_csv_rows,
-    load_reports,
-    ordering_summary,
-    render_method_table,
     report_filename,
     run_experiment,
     run_grid,
 )
 from mlpmod.mlp import TrainConfig
+from mlpmod.report import (
+    METHODS,
+    ExperimentReport,
+    grid_csv_rows,
+    load_reports,
+    ordering_summary,
+    render_method_table,
+)
 from mlpmod.spectral import SpectralConfig
 
 from conftest import SMOKE_WIDTHS, fail_writes_midway, smoke_config

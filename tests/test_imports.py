@@ -1,6 +1,7 @@
 """numpy is the package's one runtime dependency: every import under
-``src/mlpmod`` is of the standard library, of numpy or relative. And every
-name a module imports is used."""
+``src/mlpmod`` is of the standard library, of numpy or relative. Every
+name a module imports is used, and the modules import each other in
+layers."""
 
 import ast
 import sys
@@ -66,3 +67,45 @@ def test_the_cli_trains_through_the_harness():
         for alias in node.names
     }
     assert not imported & {"load_dataset", "train", "save_checkpoint"}
+
+
+def _relative_imports() -> dict:
+    """Each module of the package, by name, with the set of package
+    modules it imports."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import name
+                    imports.update(alias.name for alias in node.names)
+                else:
+                    imports.add(node.module.partition(".")[0])
+        graph[path.stem] = imports
+    return graph
+
+
+def test_the_modules_import_each_other_in_layers():
+    """The package has no import cycle. ``report`` holds the report format
+    and renders tables without running anything, so it imports neither the
+    runner nor the command line; and only the command line and the package
+    root import the runner."""
+    graph = _relative_imports()
+    assert {"harness", "report", "cli"} <= graph.keys(), sorted(graph)
+    done, on_path = set(), []
+
+    def visit(module):
+        if module in on_path:
+            raise AssertionError(f"import cycle: {' -> '.join(on_path + [module])}")
+        if module not in done:
+            on_path.append(module)
+            for imported in sorted(graph.get(module, ())):
+                visit(imported)
+            on_path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    assert not graph["report"] & {"harness", "cli"}, graph["report"]
+    importers = {module for module, imports in graph.items() if "harness" in imports}
+    assert importers <= {"cli", "__init__"}, importers
