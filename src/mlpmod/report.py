@@ -132,9 +132,17 @@ def _run_key(r: ExperimentReport):
     return (*_cell_key(r), r.seed)
 
 
+def _in_run_order(reports) -> list:
+    """The one order of a report set: by run key, each part compared as a
+    string, so seed 10 comes before seed 2. Every renderer reads the set in it."""
+    return sorted(reports, key=lambda r: tuple(map(str, _run_key(r))))
+
+
 def _cell_means(reports) -> dict:
+    """The one grouping over seeds: each cell's mean accuracy and ncut and its
+    count of seeds, keyed by cell in run order."""
     cells: dict = {}
-    for r in reports:
+    for r in _in_run_order(reports):
         cells.setdefault(_cell_key(r), []).append(r)
     means = {}
     for key, rs in cells.items():
@@ -148,9 +156,14 @@ def _cell_means(reports) -> dict:
 
 
 def render_method_table(reports, method: str) -> str:
-    """Aligned text table for one method, means over seeds per cell."""
+    """Aligned text table for one method, means over seeds per cell.
+
+    A dataset's rows form one block; the paper's datasets come first, in
+    ``KNOWN_DATASETS`` order, then any other name by string.
+    """
     means = _cell_means([r for r in reports if r.method == method])
-    datasets = list(dict.fromkeys(key[1] for key in means))
+    place = {name: i for i, name in enumerate(KNOWN_DATASETS)}
+    datasets = sorted({key[1] for key in means}, key=lambda d: (place.get(d, len(place)), str(d)))
     rows = [list(TABLE_COLUMNS)]
     for dataset in datasets:
         for activation, dropout in _ROW_ORDER:
@@ -174,19 +187,17 @@ def render_method_table(reports, method: str) -> str:
 
 
 def grid_csv_rows(reports) -> list[list]:
-    """Per-seed rows plus per-cell mean rows (seed column 'mean')."""
+    """Per-seed rows in run order, then per-cell mean rows (seed column
+    'mean') when some cell has more than one seed."""
     header = [
         "method", "dataset", "activation", "dropout", "seed",
         "test_accuracy_percent", "ncut",
     ]
     rows = [header]
-    for r in sorted(reports, key=lambda r: tuple(map(str, _run_key(r)))):
-        rows.append([*_run_key(r), r.test_accuracy_percent, r.ncut])
+    rows += [[*_run_key(r), r.test_accuracy_percent, r.ncut] for r in _in_run_order(reports)]
     means = _cell_means(reports)
     if any(cell["n_seeds"] > 1 for cell in means.values()):
-        for key in sorted(means, key=lambda k: tuple(map(str, k))):
-            cell = means[key]
-            rows.append([*key, "mean", cell["test_accuracy_percent"], cell["ncut"]])
+        rows += [[*key, "mean", c["test_accuracy_percent"], c["ncut"]] for key, c in means.items()]
     return rows
 
 
@@ -205,6 +216,18 @@ def write_tables(reports, out_dir) -> dict:
     return tables
 
 
+def _lower_ncut(ncuts: dict, part: int, lo, hi) -> dict:
+    """The one comparison: ``ncuts`` maps cell keys to ncuts. For each two
+    cells whose keys differ only at ``part``, one holding ``lo`` there and
+    the other ``hi``, whether ``lo`` gave the lower ncut; each result is
+    named by the other key parts joined by '|'."""
+    pairs: dict = {}
+    for key, ncut in ncuts.items():
+        pairs.setdefault(key[:part] + key[part + 1 :], {})[key[part]] = ncut
+    return {"|".join(map(str, key)): bool(v[lo] < v[hi])
+            for key, v in pairs.items() if lo in v and hi in v}
+
+
 def ordering_summary(reports) -> dict:
     """Activation-ordering and dropout-effect checks over grid reports.
 
@@ -214,44 +237,23 @@ def ordering_summary(reports) -> dict:
     whether enabling dropout lowered the ncut. Both are reported per seed
     and on per-cell means, with no claim asserted.
     """
-    # ncuts come as {_cell_key: ncut}; these index the varied key part
-    activation, dropout = 2, 3
-
-    def _pairs(ncuts, vary, lo_value, hi_value):
-        index = {}
-        for key, ncut in ncuts.items():
-            index.setdefault(key[:vary] + key[vary + 1 :], {})[key[vary]] = ncut
-        out = {}
-        for key, vals in sorted(index.items(), key=lambda kv: tuple(map(str, kv[0]))):
-            if lo_value in vals and hi_value in vals:
-                name = "|".join(str(x) for x in key)
-                out[name] = bool(vals[lo_value] < vals[hi_value])
-        return out
-
     by_seed: dict = {}
-    for r in reports:
-        by_seed.setdefault(r.seed, {})[_cell_key(r)] = r.ncut
-    ordering_per_seed = {}
-    dropout_per_seed = {}
-    for seed, ncuts in sorted(by_seed.items(), key=lambda kv: str(kv[0])):
-        ordering_per_seed[str(seed)] = _pairs(ncuts, activation, "sigmoid", "relu")
-        dropout_per_seed[str(seed)] = _pairs(ncuts, dropout, True, False)
-
+    for r in _in_run_order(reports):
+        by_seed.setdefault(str(r.seed), {})[_cell_key(r)] = r.ncut
     mean_ncuts = {key: cell["ncut"] for key, cell in _cell_means(reports).items()}
-    ordering_mean = _pairs(mean_ncuts, activation, "sigmoid", "relu")
-    dropout_mean = _pairs(mean_ncuts, dropout, True, False)
+    activation, dropout = 2, 3  # the cell key part each check varies
+    ordering = {s: _lower_ncut(n, activation, "sigmoid", "relu") for s, n in by_seed.items()}
+    ordering_mean = _lower_ncut(mean_ncuts, activation, "sigmoid", "relu")
     return {
         "activation_ordering": {
-            "per_seed": ordering_per_seed,
-            "per_seed_counts": {
-                s: sum(v.values()) for s, v in ordering_per_seed.items()
-            },
+            "per_seed": ordering,
+            "per_seed_counts": {s: sum(v.values()) for s, v in ordering.items()},
             "mean": ordering_mean,
             "mean_count": sum(ordering_mean.values()),
         },
         "dropout_lowers_ncut": {
-            "per_seed": dropout_per_seed,
-            "mean": dropout_mean,
+            "per_seed": {s: _lower_ncut(n, dropout, True, False) for s, n in by_seed.items()},
+            "mean": _lower_ncut(mean_ncuts, dropout, True, False),
         },
     }
 

@@ -19,14 +19,7 @@ from mlpmod.harness import (
     run_grid,
 )
 from mlpmod.mlp import TrainConfig
-from mlpmod.report import (
-    METHODS,
-    ExperimentReport,
-    grid_csv_rows,
-    load_reports,
-    ordering_summary,
-    render_method_table,
-)
+from mlpmod.report import METHODS, ExperimentReport, load_reports
 from mlpmod.spectral import SpectralConfig
 
 from conftest import SMOKE_WIDTHS, fail_writes_midway, smoke_config
@@ -112,14 +105,6 @@ def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, mon
     rerun = run_experiment(cfg, smoke_data_dir, tmp_path / "run")
     fresh = run_experiment(cfg, smoke_data_dir, tmp_path / "fresh")
     assert _strip_wall_times(rerun.to_dict()) == _strip_wall_times(fresh.to_dict())
-
-
-def test_report_write_onto_a_directory_leaves_no_temporary(tmp_path):
-    target = tmp_path / "target.json"
-    target.mkdir()
-    with pytest.raises(IsADirectoryError):
-        _fake_report("weights", "mnist", "relu", False, 0, 1.0).write_json(target)
-    assert [p.name for p in tmp_path.iterdir()] == ["target.json"]
 
 
 def _rerun_matches_clean_run(cfg, smoke_data_dir, tmp_path, caplog):
@@ -456,122 +441,6 @@ def test_grid_rejects_bad_layer_widths_before_any_file_write(smoke_data_dir, tmp
         run_grid(smoke_data_dir, tmp_path / "out", datasets=("smoke",),
                  layer_widths=(784, 0, 10), epochs=1)
     assert not (tmp_path / "out").exists()
-
-
-def _fake_report(method, dataset, activation, dropout, seed, ncut_value, acc=90.0):
-    return ExperimentReport(
-        dataset=dataset,
-        activation=activation,
-        dropout=dropout,
-        method=method,
-        k=4,
-        seed=seed,
-        layer_widths=[4, 3, 2],
-        test_accuracy_percent=acc,
-        ncut=ncut_value,
-        cluster_sizes=[3, 2, 2, 2],
-        layer_cluster_counts=[[1, 1, 1, 1], [1, 1, 1, 0], [1, 0, 0, 1]],
-        dropped_nodes=0,
-        kmeans_cost=0.1,
-        checkpoint="x.mlpc",
-        off_protocol_k=False,
-        train_config=None,
-        spectral_config={},
-    )
-
-
-def test_ordering_summary_logic():
-    reports = [
-        _fake_report("weights", "mnist", "relu", False, 0, 2.4),
-        _fake_report("weights", "mnist", "sigmoid", False, 0, 2.1),
-        _fake_report("weights", "mnist", "relu", True, 0, 2.2),
-        _fake_report("weights", "mnist", "sigmoid", True, 0, 2.3),  # violated
-        _fake_report("weights", "mnist", "relu", False, 1, 2.0),
-        _fake_report("weights", "mnist", "sigmoid", False, 1, 1.8),
-    ]
-    summary = ordering_summary(reports)
-    per_seed = summary["activation_ordering"]["per_seed"]
-    assert per_seed["0"]["weights|mnist|False"] is True
-    assert per_seed["0"]["weights|mnist|True"] is False
-    assert summary["activation_ordering"]["per_seed_counts"] == {"0": 1, "1": 1}
-    # mean over seeds: relu (2.4+2.0)/2=2.2 vs sigmoid (2.1+1.8)/2=1.95
-    assert summary["activation_ordering"]["mean"]["weights|mnist|False"] is True
-    dropout_checks = summary["dropout_lowers_ncut"]["per_seed"]["0"]
-    assert dropout_checks["weights|mnist|relu"] is True   # 2.2 < 2.4
-    assert dropout_checks["weights|mnist|sigmoid"] is False  # 2.3 > 2.1
-
-
-def test_render_method_table_layout():
-    reports = [
-        _fake_report("weights", "mnist", "relu", False, 0, 2.37, acc=98.04),
-        _fake_report("weights", "mnist", "sigmoid", False, 0, 2.10, acc=97.0),
-        _fake_report("weights", "fashion_mnist", "relu", True, 0, 2.11, acc=85.0),
-    ]
-    table = render_method_table(reports, "weights")
-    lines = table.strip().split("\n")
-    header = lines[0]
-    for column in ("Data Set", "Activation Function", "Dropout",
-                   "Test Accuracy(%)", "N-Cut"):
-        assert column in header
-    assert "MNIST" in lines[2]
-    assert "ReLU" in lines[2] and "98.0" in lines[2] and "2.37" in lines[2]
-    assert "Sigmoid" in lines[3] and "No" in lines[3]
-    assert "FashionMNIST" in lines[4] and "Yes" in lines[4]
-
-
-def test_grid_csv_has_per_seed_and_mean_rows():
-    reports = [
-        _fake_report("weights", "mnist", "relu", False, 0, 2.0),
-        _fake_report("weights", "mnist", "relu", False, 1, 2.2),
-    ]
-    rows = grid_csv_rows(reports)
-    assert rows[0][0] == "method"
-    seeds = [row[4] for row in rows[1:]]
-    assert seeds == [0, 1, "mean"]
-    assert rows[3][6] == pytest.approx(2.1)
-
-
-def _write_report_set(root, reports):
-    """Write each report to its own subdirectory ``<i>/`` of ``root``."""
-    for i, report in enumerate(reports):
-        (root / str(i)).mkdir(parents=True)
-        report.write_json(root / str(i) / f"report_{i}.json")
-
-
-def _trained_report(seed, **changes):
-    train_config = TrainConfig(epochs=1, rng_seed=seed).to_dict()
-    report = _fake_report("weights", "mnist", "relu", False, seed, 2.0)
-    return replace(report, **{"train_config": train_config, **changes})
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("layer_widths", [4, 2]),
-        ("k", 3),
-        ("spectral_config", {"k": 4, "rng_seed": 1}),
-        ("train_config", TrainConfig(epochs=3, rng_seed=1).to_dict()),
-    ],
-)
-def test_load_reports_rejects_a_set_of_two_protocols(tmp_path, field, value):
-    # runs of two seeds share one protocol, though their train_config differs in rng_seed
-    _write_report_set(tmp_path / "same", [_trained_report(0), _trained_report(1)])
-    assert [r.seed for r in load_reports(tmp_path / "same")] == [0, 1]
-    mixed = [_trained_report(0), _trained_report(1, **{field: value})]
-    _write_report_set(tmp_path / "mixed", mixed)
-    fault = rf"0.report_0.json and \S+1.report_1.json differ in {field};"
-    with pytest.raises(DataError, match=fault):
-        load_reports(tmp_path / "mixed")
-
-
-def test_load_reports_rejects_a_run_held_twice(tmp_path):
-    _write_report_set(tmp_path, [_trained_report(0), _trained_report(1), _trained_report(0)])
-    with pytest.raises(
-        DataError,
-        match=r"0.report_0.json and \S+2.report_2.json both hold the run "
-        r"\('weights', 'mnist', 'relu', False, 0\)$",
-    ):
-        load_reports(tmp_path)
 
 
 def test_off_protocol_k_flagged(smoke_data_dir, tmp_path):
