@@ -169,8 +169,7 @@ def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndar
     if not 1 <= n_vectors <= deg.size:
         raise ValueError(f"need 1 <= n_vectors <= {deg.size}, got {n_vectors}")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    b = inv_sqrt[even][:, None] * graph.block
-    b *= inv_sqrt[~even]
+    b = inv_sqrt[even][:, None] * graph.block * inv_sqrt[~even]
     tall = b.T if b.shape[1] > b.shape[0] else b
     try:
         w, v = np.linalg.eigh(tall.T @ tall)
@@ -183,8 +182,8 @@ def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndar
         return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors)
     v = v[:, ::-1][:, :n_vectors]
     u, v = (tall @ v / sigma, v) if tall is b else (v, tall @ v / sigma)
-    residuals = np.linalg.norm(np.vstack([u * sigma - b @ v, v * sigma - b.T @ u]), axis=0)
-    residuals /= np.sqrt(2.0)
+    pair_errors = np.vstack([u * sigma - b @ v, v * sigma - b.T @ u])
+    residuals = np.linalg.norm(pair_errors, axis=0) / np.sqrt(2.0)
     vectors = np.empty((deg.size, n_vectors))
     vectors[even] = u
     vectors[~even] = v
@@ -244,10 +243,11 @@ def kmeans_single(
     checked to be non-increasing.
 
     The points are held as contiguous coordinate columns. Each iteration
-    builds the (k, n) squared distances by adding the per-coordinate terms
-    ``(col - c_j)**2`` in coordinate order, and each centroid coordinate is
-    the ``np.bincount`` of its column weighted by the labels, divided by the
-    cluster's count.
+    takes the (k, n) squared distances as the sum over the leading axis of
+    one (d, k, n) array of per-coordinate terms ``(col - c_j)**2``, which
+    adds the coordinates in order for every d, and each centroid coordinate
+    is the ``np.bincount`` of its column weighted by the labels, divided by
+    the cluster's count.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -255,18 +255,13 @@ def kmeans_single(
         raise ValueError(f"cannot make {n_clusters} clusters from {n} points")
     centers = _kmeans_pp_init(pts, n_clusters, rng)
     cols = pts.T.copy()
-    sq = np.empty((n_clusters, n))
-    term = np.empty((n_clusters, n))
     prev_cost = np.inf
     labels = np.zeros(n, dtype=np.int64)
     cost = 0.0
     for _ in range(KMEANS_MAX_ITERS):
-        sq.fill(0.0)
-        for col, coord in zip(cols, centers.T):
-            np.subtract(col, coord[:, None], out=term)
-            sq += np.square(term, out=term)
+        sq = np.square(cols[:, None, :] - centers.T[:, :, None]).sum(axis=0)
         labels = np.argmin(sq, axis=0)
-        point_cost = sq[labels, np.arange(n)]
+        point_cost = sq.min(axis=0)
         counts = np.bincount(labels, minlength=n_clusters)
         for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(np.where(counts[labels] > 1, point_cost, -np.inf)))
@@ -343,9 +338,7 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         _check_entries(a)
-        diff = a - a.T
-        asym = np.abs(diff, out=diff).max(initial=0.0)
-        del diff
+        asym = np.abs(a - a.T).max(initial=0.0)
         if not (asym <= 1e-12):
             raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
         deg = a.sum(axis=1)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mlpmod import cli, harness
+from mlpmod import cli, harness, spectral
 from mlpmod.checkpoint import save_checkpoint
 from mlpmod.data import (
     SPLIT_FILES,
@@ -278,6 +278,38 @@ def test_analyze_weights_happy_path(smoke_data_dir, tmp_path):
     payload = json.loads(written[0].read_text())
     assert payload["ncut"] == report.ncut  # same clustering seed: bit-identical
     assert f"{report.ncut:.6f}" in proc.stdout
+
+
+@pytest.mark.parametrize("k, dense_calls", [(16, 0), (17, 1), (19, 1)])
+def test_analyze_with_k_above_the_block_rank_takes_the_dense_route(
+    tmp_path, monkeypatch, capsys, k, dense_calls
+):
+    # a 784-8-8-10 graph: 792 even-layer nodes and 18 odd-layer ones, but the
+    # 10 output columns meet only 8 rows, so the scaled block has rank 16; a
+    # 17th singular value of 0 is below SIGMA_FLOOR, and k = 19 exceeds the side
+    calls = []
+    real = spectral.smallest_eigenvectors
+
+    def recording(laplacian, n_vectors):
+        calls.append(n_vectors)
+        return real(laplacian, n_vectors)
+
+    monkeypatch.setattr(spectral, "smallest_eigenvectors", recording)
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 8, 10)), np.random.default_rng(0)), ckpt
+    )
+    out = tmp_path / "analysis"
+    code = cli.main([
+        "analyze", "--checkpoint", str(ckpt), "--method", "weights",
+        "--k", str(k), "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [k] * dense_calls
+    payload = json.loads(next(iter(out.glob("analysis_*.json"))).read_text())
+    sizes = payload["cluster_sizes"]
+    assert len(sizes) == k and min(sizes) > 0 and sum(sizes) == 810
+    assert payload["off_protocol_k"] is True
 
 
 def test_analyze_spearman_with_flat_data_dir(smoke_data_dir, tmp_path):

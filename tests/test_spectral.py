@@ -245,16 +245,21 @@ def assert_kmeans_single_matches_reference(points, k, seed):
         assert cost == pytest.approx(want_cost, rel=1e-12, abs=0.0)
 
 
+def random_kmeans_case(rng, trial, d):
+    """A k and up to 200 points in d dimensions; every fifth trial has few
+    distinct points, so that the repair path runs."""
+    k = int(rng.integers(2, 9))
+    n = int(rng.integers(k, 200))
+    if trial % 5 == 0:
+        distinct = rng.standard_normal((int(rng.integers(1, k + 2)), d))
+        return distinct[rng.integers(0, len(distinct), size=n)], k
+    return rng.standard_normal((n, d)), k
+
+
 def test_kmeans_single_equals_reference_on_random_points():
     rng = np.random.default_rng(60)
     for trial in range(300):
-        d, k = int(rng.integers(1, 11)), int(rng.integers(2, 9))
-        n = int(rng.integers(k, 200))
-        if trial % 5 == 0:  # few distinct points: the repair path runs
-            distinct = rng.standard_normal((int(rng.integers(1, k + 2)), d))
-            points = distinct[rng.integers(0, len(distinct), size=n)]
-        else:
-            points = rng.standard_normal((n, d))
+        points, k = random_kmeans_case(rng, trial, int(rng.integers(1, 11)))
         assert_kmeans_single_matches_reference(points, k, seed=trial)
 
 
@@ -263,6 +268,59 @@ def test_kmeans_single_equals_reference_on_a_planted_embedding():
     embedding = row_normalize(bipartite_eigenvectors(graph, 4)[1])
     for seed in range(20):
         assert_kmeans_single_matches_reference(embedding, 4, seed)
+
+
+def buffered_kmeans_single(points, n_clusters, rng):
+    """Oracle of kmeans_single's order of additions: the distances added one
+    coordinate at a time into preallocated (k, n) buffers, and each point's
+    cost gathered at its label."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    centers = _kmeans_pp_init(pts, n_clusters, rng)
+    cols = pts.T.copy()
+    sq = np.empty((n_clusters, n))
+    term = np.empty((n_clusters, n))
+    prev_cost = np.inf
+    labels = np.zeros(n, dtype=np.int64)
+    cost = 0.0
+    for _ in range(KMEANS_MAX_ITERS):
+        sq.fill(0.0)
+        for col, coord in zip(cols, centers.T):
+            np.subtract(col, coord[:, None], out=term)
+            sq += np.square(term, out=term)
+        labels = np.argmin(sq, axis=0)
+        point_cost = sq[labels, np.arange(n)]
+        counts = np.bincount(labels, minlength=n_clusters)
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[labels] > 1, point_cost, -np.inf)))
+            counts[labels[far]] -= 1
+            counts[c] = 1
+            labels[far] = c
+            centers[c] = pts[far]
+            point_cost[far] = 0.0
+        cost = float(point_cost.sum())
+        assert cost <= prev_cost * (1 + 1e-12) + 1e-12
+        new_centers = np.column_stack(
+            [np.bincount(labels, weights=col, minlength=n_clusters) for col in cols]
+        ) / counts[:, None]
+        if float(np.max(np.linalg.norm(new_centers - centers, axis=1))) <= KMEANS_TOL:
+            break
+        centers = new_centers
+        prev_cost = cost
+    return labels, cost
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_kmeans_single_adds_the_coordinates_in_order_for_every_d(d):
+    rng = np.random.default_rng(70 + d)
+    for trial in range(40):
+        points, k = random_kmeans_case(rng, trial, d)
+        if trial % 2:
+            points = row_normalize(points)
+        labels, cost = kmeans_single(points, k, np.random.default_rng(trial))
+        want_labels, want_cost = buffered_kmeans_single(points, k, np.random.default_rng(trial))
+        np.testing.assert_array_equal(labels, want_labels)
+        assert cost == want_cost
 
 
 def test_kmeans_square_corners():
