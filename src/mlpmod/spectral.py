@@ -169,7 +169,8 @@ def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndar
     if not 1 <= n_vectors <= deg.size:
         raise ValueError(f"need 1 <= n_vectors <= {deg.size}, got {n_vectors}")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    b = inv_sqrt[even][:, None] * graph.block * inv_sqrt[~even]
+    b = inv_sqrt[even][:, None] * graph.block
+    b *= inv_sqrt[~even]
     tall = b.T if b.shape[1] > b.shape[0] else b
     try:
         w, v = np.linalg.eigh(tall.T @ tall)
@@ -182,8 +183,8 @@ def bipartite_eigenvectors(graph: LayeredGraph, n_vectors: int) -> tuple[np.ndar
         return smallest_eigenvectors(normalized_laplacian(graph.dense()), n_vectors)
     v = v[:, ::-1][:, :n_vectors]
     u, v = (tall @ v / sigma, v) if tall is b else (v, tall @ v / sigma)
-    pair_errors = np.vstack([u * sigma - b @ v, v * sigma - b.T @ u])
-    residuals = np.linalg.norm(pair_errors, axis=0) / np.sqrt(2.0)
+    residuals = np.linalg.norm(np.vstack([u * sigma - b @ v, v * sigma - b.T @ u]), axis=0)
+    residuals /= np.sqrt(2.0)
     vectors = np.empty((deg.size, n_vectors))
     vectors[even] = u
     vectors[~even] = v
@@ -243,11 +244,10 @@ def kmeans_single(
     checked to be non-increasing.
 
     The points are held as contiguous coordinate columns. Each iteration
-    takes the (k, n) squared distances as the sum over the leading axis of
-    one (d, k, n) array of per-coordinate terms ``(col - c_j)**2``, which
-    adds the coordinates in order for every d, and each centroid coordinate
-    is the ``np.bincount`` of its column weighted by the labels, divided by
-    the cluster's count.
+    sums the (k, n) per-coordinate terms ``(col - c_j)**2`` one coordinate
+    at a time, in order, so the distances need O(k n) memory for any d, and
+    each centroid coordinate is the ``np.bincount`` of its column weighted by
+    the labels, divided by the cluster's count.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -256,10 +256,8 @@ def kmeans_single(
     centers = _kmeans_pp_init(pts, n_clusters, rng)
     cols = pts.T.copy()
     prev_cost = np.inf
-    labels = np.zeros(n, dtype=np.int64)
-    cost = 0.0
     for _ in range(KMEANS_MAX_ITERS):
-        sq = np.square(cols[:, None, :] - centers.T[:, :, None]).sum(axis=0)
+        sq = sum(np.square(col - coord[:, None]) for col, coord in zip(cols, centers.T))
         labels = np.argmin(sq, axis=0)
         point_cost = sq.min(axis=0)
         counts = np.bincount(labels, minlength=n_clusters)
@@ -338,7 +336,8 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         _check_entries(a)
-        asym = np.abs(a - a.T).max(initial=0.0)
+        # a - a.T is exactly antisymmetric, so its max is its max |entry|
+        asym = (a - a.T).max(initial=0.0)
         if not (asym <= 1e-12):
             raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
         deg = a.sum(axis=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,8 +205,10 @@ def test_row_normalize_random_norms():
 
 def reference_kmeans_single(points, n_clusters, rng):
     """Oracle of kmeans_single: the same seeding, repair and stopping rule,
-    with the distances from one (n, k, d) temporary summed over d and each
-    centroid as the mean of its boolean-masked points."""
+    with the distances from one (n, k, d) temporary and each centroid from
+    its boolean-masked points. Both are summed with ``np.cumsum``, which adds
+    in order, as kmeans_single's per-coordinate sum and ``np.bincount`` do;
+    ``.sum`` would add pairwise along a contiguous axis of 8 or more."""
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     centers = _kmeans_pp_init(pts, n_clusters, rng)
@@ -212,7 +216,7 @@ def reference_kmeans_single(points, n_clusters, rng):
     labels = np.zeros(n, dtype=np.int64)
     cost = 0.0
     for _ in range(KMEANS_MAX_ITERS):
-        sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        sq = np.cumsum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)[:, :, -1]
         labels = np.argmin(sq, axis=1)
         point_cost = sq[np.arange(n), labels]
         counts = np.bincount(labels, minlength=n_clusters)
@@ -225,7 +229,9 @@ def reference_kmeans_single(points, n_clusters, rng):
             point_cost[far] = 0.0
         cost = float(point_cost.sum())
         assert cost <= prev_cost * (1 + 1e-12) + 1e-12
-        new_centers = np.vstack([pts[labels == c].mean(axis=0) for c in range(n_clusters)])
+        new_centers = np.vstack(
+            [np.cumsum(pts[labels == c], axis=0)[-1] / counts[c] for c in range(n_clusters)]
+        )
         if float(np.max(np.linalg.norm(new_centers - centers, axis=1))) <= KMEANS_TOL:
             break
         centers = new_centers
@@ -237,29 +243,19 @@ def assert_kmeans_single_matches_reference(points, k, seed):
     labels, cost = kmeans_single(points, k, np.random.default_rng(seed))
     want_labels, want_cost = reference_kmeans_single(points, k, np.random.default_rng(seed))
     np.testing.assert_array_equal(labels, want_labels)
-    # adding the coordinates in order is numpy's sum over d for d < 8; for
-    # d = 1 the reference's mean, and for larger d its sum, are pairwise
-    if 2 <= points.shape[1] <= 7:
-        assert cost == want_cost
-    else:
-        assert cost == pytest.approx(want_cost, rel=1e-12, abs=0.0)
-
-
-def random_kmeans_case(rng, trial, d):
-    """A k and up to 200 points in d dimensions; every fifth trial has few
-    distinct points, so that the repair path runs."""
-    k = int(rng.integers(2, 9))
-    n = int(rng.integers(k, 200))
-    if trial % 5 == 0:
-        distinct = rng.standard_normal((int(rng.integers(1, k + 2)), d))
-        return distinct[rng.integers(0, len(distinct), size=n)], k
-    return rng.standard_normal((n, d)), k
+    assert cost == want_cost
 
 
 def test_kmeans_single_equals_reference_on_random_points():
     rng = np.random.default_rng(60)
     for trial in range(300):
-        points, k = random_kmeans_case(rng, trial, int(rng.integers(1, 11)))
+        d, k = int(rng.integers(1, 11)), int(rng.integers(2, 9))
+        n = int(rng.integers(k, 200))
+        if trial % 5 == 0:  # few distinct points: the repair path runs
+            distinct = rng.standard_normal((int(rng.integers(1, k + 2)), d))
+            points = distinct[rng.integers(0, len(distinct), size=n)]
+        else:
+            points = rng.standard_normal((n, d))
         assert_kmeans_single_matches_reference(points, k, seed=trial)
 
 
@@ -270,57 +266,18 @@ def test_kmeans_single_equals_reference_on_a_planted_embedding():
         assert_kmeans_single_matches_reference(embedding, 4, seed)
 
 
-def buffered_kmeans_single(points, n_clusters, rng):
-    """Oracle of kmeans_single's order of additions: the distances added one
-    coordinate at a time into preallocated (k, n) buffers, and each point's
-    cost gathered at its label."""
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    centers = _kmeans_pp_init(pts, n_clusters, rng)
-    cols = pts.T.copy()
-    sq = np.empty((n_clusters, n))
-    term = np.empty((n_clusters, n))
-    prev_cost = np.inf
-    labels = np.zeros(n, dtype=np.int64)
-    cost = 0.0
-    for _ in range(KMEANS_MAX_ITERS):
-        sq.fill(0.0)
-        for col, coord in zip(cols, centers.T):
-            np.subtract(col, coord[:, None], out=term)
-            sq += np.square(term, out=term)
-        labels = np.argmin(sq, axis=0)
-        point_cost = sq[labels, np.arange(n)]
-        counts = np.bincount(labels, minlength=n_clusters)
-        for c in np.flatnonzero(counts == 0):
-            far = int(np.argmax(np.where(counts[labels] > 1, point_cost, -np.inf)))
-            counts[labels[far]] -= 1
-            counts[c] = 1
-            labels[far] = c
-            centers[c] = pts[far]
-            point_cost[far] = 0.0
-        cost = float(point_cost.sum())
-        assert cost <= prev_cost * (1 + 1e-12) + 1e-12
-        new_centers = np.column_stack(
-            [np.bincount(labels, weights=col, minlength=n_clusters) for col in cols]
-        ) / counts[:, None]
-        if float(np.max(np.linalg.norm(new_centers - centers, axis=1))) <= KMEANS_TOL:
-            break
-        centers = new_centers
-        prev_cost = cost
-    return labels, cost
-
-
-@pytest.mark.parametrize("d", range(1, 10))
-def test_kmeans_single_adds_the_coordinates_in_order_for_every_d(d):
-    rng = np.random.default_rng(70 + d)
-    for trial in range(40):
-        points, k = random_kmeans_case(rng, trial, d)
-        if trial % 2:
-            points = row_normalize(points)
-        labels, cost = kmeans_single(points, k, np.random.default_rng(trial))
-        want_labels, want_cost = buffered_kmeans_single(points, k, np.random.default_rng(trial))
-        np.testing.assert_array_equal(labels, want_labels)
-        assert cost == want_cost
+def test_kmeans_single_memory_is_linear_in_k():
+    # cluster_graph runs k-means on a k-column embedding, so a temporary of
+    # all d x k x n terms would grow as k**2 n: 24 MB here against 240 kB
+    n, k = 300, 100
+    points = row_normalize(np.random.default_rng(80).standard_normal((n, k)))
+    tracemalloc.start()
+    try:
+        kmeans_single(points, k, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * k * n * 8
 
 
 def test_kmeans_square_corners():
