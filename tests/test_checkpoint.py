@@ -1,9 +1,11 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from mlpmod import cli
 from mlpmod.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -105,6 +107,24 @@ def test_truncation_rejected(model, tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, needed", [
+    (struct.pack("<I", FORMAT_VERSION), 12),  # no layer count
+    (struct.pack("<III", FORMAT_VERSION, 3, 784), 36),  # 1 of 3 widths, no tag or dropout
+], ids=["layer-count", "widths"])
+def test_truncated_header_rejected(tmp_path, capsys, header, needed):
+    path = tmp_path / "model.mlpc"
+    path.write_bytes(MAGIC + header)
+    size = 4 + len(header)
+    with pytest.raises(CheckpointError, match=re.escape(
+        f"truncated checkpoint (header needs {needed} bytes, file has {size})"
+    )):
+        load_checkpoint(path)
+    code = cli.main([
+        "analyze", "--checkpoint", str(path), "--method", "weights", "--out", str(tmp_path),
+    ])
+    assert code == 2, capsys.readouterr().err
 
 
 def test_trailing_bytes_rejected(model, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -264,6 +265,27 @@ def test_grid_output_under_regular_file_is_data_error(tmp_path):
     assert "data error" in proc.stderr
 
 
+def test_grid_prints_its_tables_and_failed_cells(tmp_path, monkeypatch, capsys):
+    # one test example: the weights cells run, every spearman cell fails
+    make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=1, seed=0)
+    monkeypatch.setattr(cli, "run_grid", functools.partial(
+        harness.run_grid, datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
+    ))
+    out = tmp_path / "grid"
+    code = cli.main(["grid", "--epochs", "1", "--data-dir", str(tmp_path), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert stdout.startswith("\n[weights]\n" + (out / "table_weights.txt").read_text())
+    assert "[spearman]" not in stdout
+    failed = [
+        f"  smoke/{activation}/{dropout}/spearman/seed0: the test split has 1 example(s); "
+        "spearman needs at least 2"
+        for activation in ("relu", "sigmoid") for dropout in ("nodropout", "dropout")
+    ]
+    assert "\n".join(["\n4 cell(s) failed:", *failed]) in stdout
+    assert stdout.endswith(f"\nwrote grid outputs under {out}\n")
+
+
 def test_analyze_weights_happy_path(smoke_data_dir, tmp_path):
     report = run_experiment(smoke_config("weights"), smoke_data_dir, tmp_path)
     ckpt = tmp_path / "checkpoints" / report.checkpoint
@@ -483,6 +505,7 @@ def _report_with(**values):
     [
         ("{not json", "not a JSON report"),
         ('{"method": "weights"}', "lacks keys"),
+        pytest.param("[]", "top level is not an object", id="top-level-array"),
         pytest.param(_report_with(ncut="high"), "wrong type: ncut", id="ncut-string"),
         pytest.param(
             _report_with(cluster_sizes=3, kmeans_cost=True),

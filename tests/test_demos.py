@@ -1,9 +1,10 @@
-"""The package's public surface: every exported name imports and every demo
-runs."""
+"""The package's public surface: every exported name imports, every demo
+runs and the README's demo table names every demo."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +21,6 @@ def test_every_exported_name_imports():
     """Each module's ``__all__`` names exist; the package root has no
     ``__all__``, and importing it above already resolves its re-exports."""
     for info in pkgutil.iter_modules(mlpmod.__path__):
-        if info.name == "__main__":  # importing it runs the CLI
-            continue
         module = importlib.import_module(f"mlpmod.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"mlpmod.{info.name}.__all__ lists missing {name!r}"
@@ -29,15 +28,16 @@ def test_every_exported_name_imports():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # demo 03 works in a mkdtemp directory; demo 05 gets an empty data
-    # directory, so it takes its missing-data exit and never starts a grid
-    args = []
-    if demo.name.startswith("05"):
-        (tmp_path / "data").mkdir()
-        args = [str(tmp_path / "data"), str(tmp_path / "out")]
+    # demo 03 works in a mkdtemp directory, so TMPDIR keeps it under tmp_path
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo), *args],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_demo_table_names_exactly_the_demos():
+    readme = (REPO / "README.md").read_text()
+    listed = re.findall(r"^\| `([^`]+\.py)` \|", readme, flags=re.MULTILINE)
+    assert listed == [d.name for d in DEMOS]

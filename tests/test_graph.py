@@ -195,6 +195,12 @@ def test_degree_out_of_range():
     a = path_graph(3)
     with pytest.raises(ValueError, match="out of range"):
         degree(a, 3)
+    with pytest.raises(ValueError, match=r"^cluster contains node indices outside 0\.\.2$"):
+        volume(a, [0, 3])
+    with pytest.raises(ValueError, match=r"^left set contains node indices outside 0\.\.2$"):
+        cut_weight(a, [-1], [2])
+    with pytest.raises(ValueError, match=r"^right set contains node indices outside 0\.\.2$"):
+        cut_weight(a, [0], [3])
 
 
 def test_degree_matches_row_sum_oracle():
@@ -228,6 +234,7 @@ def test_volume_empty_cluster_rejected():
 def test_cut_weight_disjoint_components():
     a = triangle_union(2)
     assert cut_weight(a, [0, 1, 2], [3, 4, 5]) == 0.0
+    assert cut_weight(a, [], [3, 4, 5]) == 0.0  # an empty side cuts nothing
 
 
 def test_cut_weight_path_split():

@@ -248,6 +248,8 @@ def test_analyze_spearman_requires_test_split(smoke_data_dir, tmp_path):
     ckpt = tmp_path / "checkpoints" / pipeline.checkpoint
     with pytest.raises(ValueError, match="test split"):
         analyze_checkpoint(ckpt, "spearman")
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        analyze_checkpoint(ckpt, "bogus")
 
 
 def test_analyze_spearman_with_test_split(smoke_data_dir, tmp_path):
