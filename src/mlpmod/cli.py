@@ -143,6 +143,9 @@ def _cmd_grid(args) -> int:
         print(f"\n{len(result.failures)} cell(s) failed:")
         for failure in result.failures:
             print(f"  {failure['cell']}: {failure['error']}")
+    if not result.reports:
+        summary = Path(args.out) / "grid_summary.json"
+        raise DataError(f"all {len(result.failures)} cells failed; {summary} lists them")
     print(f"\nwrote grid outputs under {args.out}")
     return EXIT_OK
 

@@ -234,29 +234,24 @@ def _check_batch(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
 def _forward_cached(
     model: MlpModel, x: np.ndarray, dropout_masks: list[np.ndarray] | None
 ):
-    """Shared forward pass; returns logits plus everything backprop needs.
-    Dropout applies with ``dropout_masks`` and not without."""
+    """Shared forward pass. Returns the logits, each connection's input (the
+    batch, then each hidden layer after dropout), each hidden layer's output
+    before dropout and each hidden layer's keep-mask / (1 - p). Dropout
+    applies with ``dropout_masks`` and not without."""
     arch = model.architecture
-    post_acts: list[np.ndarray] = []   # per hidden layer, pre-dropout
-    dropped: list[np.ndarray] = []     # per hidden layer, post-dropout (next layer input)
-    scales: list[np.ndarray] = []      # per hidden layer, keep-mask / (1 - p)
-    a = x
-    n_conn = len(model.weights)
-    for t in range(n_conn - 1):
-        z = a @ model.weights[t].T
+    inputs, post_acts, scales = [x], [], []
+    for t in range(len(model.weights) - 1):
+        z = inputs[t] @ model.weights[t].T
         z += model.biases[t]
         h = _activate(z, arch.activation)
         post_acts.append(h)
         if dropout_masks is not None:
-            scale = dropout_masks[t] / (1.0 - arch.dropout_rate)
-            scales.append(scale)
-            a = h * scale
-        else:
-            a = h
-        dropped.append(a)
-    logits = a @ model.weights[-1].T
+            scales.append(dropout_masks[t] / (1.0 - arch.dropout_rate))
+            h = h * scales[t]
+        inputs.append(h)
+    logits = inputs[-1] @ model.weights[-1].T
     logits += model.biases[-1]
-    return logits, post_acts, dropped, scales
+    return logits, inputs, post_acts, scales
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -302,15 +297,14 @@ def loss_and_gradients(
         raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-    logits, post_acts, dropped, scales = _forward_cached(model, x, dropout_masks)
+    logits, conn_inputs, post_acts, scales = _forward_cached(model, x, dropout_masks)
     loss, delta = softmax_cross_entropy(logits, y)
     grads_w, grads_b = _param_views(
         model.architecture.layer_widths,
         np.empty_like(model.params) if out is None else out,
     )
-    layer_inputs = [x] + dropped  # input to each connection
     for t in range(len(model.weights) - 1, -1, -1):
-        np.matmul(delta.T, layer_inputs[t], out=grads_w[t])
+        np.matmul(delta.T, conn_inputs[t], out=grads_w[t])
         np.sum(delta, axis=0, out=grads_b[t])
         if t > 0:
             delta = delta @ model.weights[t]
@@ -438,7 +432,7 @@ def record_activations(model: MlpModel, images: np.ndarray) -> list[np.ndarray]:
     for start in range(0, max(len(images), 1), EVAL_BATCH):
         examples = slice(start, start + EVAL_BATCH)
         x = _check_batch(model, images[examples])
-        logits, hidden, _, _ = _forward_cached(model, x, None)
-        for layer, act in zip(layers, [x] + hidden + [logits]):
+        logits, conn_inputs, _, _ = _forward_cached(model, x, None)
+        for layer, act in zip(layers, conn_inputs + [logits]):
             layer[:, examples] = act.T
     return layers

@@ -286,6 +286,24 @@ def test_grid_prints_its_tables_and_failed_cells(tmp_path, monkeypatch, capsys):
     assert stdout.endswith(f"\nwrote grid outputs under {out}\n")
 
 
+def test_grid_in_which_no_cell_reports_is_data_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_grid", functools.partial(
+        harness.run_grid, datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
+    ))
+    out = tmp_path / "grid"
+    code = cli.main([
+        "grid", "--epochs", "1", "--data-dir", str(tmp_path / "missing"), "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA, captured.err
+    assert "\n8 cell(s) failed:\n" in captured.out
+    assert "wrote grid outputs" not in captured.out
+    summary_path = out / "grid_summary.json"
+    assert f"data error: all 8 cells failed; {summary_path} lists them" in captured.err
+    summary = json.loads(summary_path.read_text())
+    assert [f["stage"] for f in summary["failures"]] == ["load-data"] * 8
+
+
 def test_analyze_weights_happy_path(smoke_data_dir, tmp_path):
     report = run_experiment(smoke_config("weights"), smoke_data_dir, tmp_path)
     ckpt = tmp_path / "checkpoints" / report.checkpoint

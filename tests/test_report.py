@@ -205,3 +205,14 @@ def test_readme_names_every_report_field_table_column_and_grid_csv_column():
     missing += [c for c in TABLE_COLUMNS if c not in readme]
     missing += [f"`{c}`" for c in grid_csv_rows([])[0] if f"`{c}`" not in readme]
     assert missing == [], f"README.md does not name {missing}"
+
+
+def test_readme_names_every_grid_summary_key_and_failure_field(tmp_path):
+    # a grid without its dataset files fails every cell and still writes the summary
+    run_grid(tmp_path / "missing", tmp_path, epochs=1, datasets=("smoke",),
+             layer_widths=SMOKE_WIDTHS)
+    summary = json.loads((tmp_path / "grid_summary.json").read_text())
+    readme = " ".join(README.read_text().split())
+    names = [*summary, *summary["failures"][0]]
+    missing = [f"`{name}`" for name in names if f"`{name}`" not in readme]
+    assert missing == [], f"README.md does not name {missing}"

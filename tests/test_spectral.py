@@ -173,6 +173,23 @@ def test_eigenvectors_residual_failure_carries_norms(monkeypatch):
     assert err.value.residuals.shape == (2,)
 
 
+def test_eigenvectors_turn_an_eigh_failure_into_eigensolver_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigensolverError, match="dense eigendecomposition failed: Eigenvalues"):
+        smallest_eigenvectors(np.eye(3), 2)
+
+
+def test_eigenvectors_refuse_columns_that_are_not_orthonormal(monkeypatch):
+    # a repeated true eigenvector: zero residuals, but a Gram matrix of ones
+    repeated = np.tile(np.eye(3)[:, :1], 3)
+    monkeypatch.setattr(np.linalg, "eigh", lambda lap: (np.ones(3), repeated))
+    with pytest.raises(EigensolverError, match="not orthonormal"):
+        smallest_eigenvectors(np.eye(3), 2)
+
+
 # ---------------------------------------------------------------------------
 # row_normalize
 
