@@ -1,5 +1,6 @@
-"""End-to-end smoke run: train a small MLP on synthetic images, then measure
-its modularity under both edge-weight schemes.
+"""End-to-end smoke run: train the protocol's 784-256x4-10 MLP for one epoch
+on 20 synthetic images, then measure its modularity under both edge-weight
+schemes.
 
 Everything happens in a temporary directory; runs in a couple of seconds.
 """
@@ -23,7 +24,6 @@ for method in ("weights", "spearman"):
         activation="relu",
         dropout=False,
         method=method,
-        layer_widths=(784, 16, 16, 16, 16, 10),
         train=TrainConfig(epochs=1, rng_seed=0),
         spectral=SpectralConfig(k=4, rng_seed=0),
     )

@@ -27,7 +27,6 @@ from .data import KNOWN_DATASETS, DataError, Dataset, LabeledImageSet, load_data
 from .graph import build_weight_adjacency
 from .mlp import (
     ACTIVATIONS,
-    DEFAULT_LAYER_WIDTHS,
     MlpArchitecture,
     MlpModel,
     TrainConfig,
@@ -84,7 +83,6 @@ class ExperimentConfig:
     activation: str = "relu"
     dropout: bool = False
     method: str = "weights"
-    layer_widths: tuple[int, ...] = DEFAULT_LAYER_WIDTHS
     train: TrainConfig = field(default_factory=TrainConfig)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
 
@@ -96,11 +94,8 @@ class ExperimentConfig:
     @property
     def architecture(self) -> MlpArchitecture:
         return MlpArchitecture(
-            layer_widths=self.layer_widths,
-            activation=self.activation,
-            dropout_rate=DROPOUT_RATE if self.dropout else 0.0,
+            activation=self.activation, dropout_rate=DROPOUT_RATE if self.dropout else 0.0
         )
-
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -239,8 +234,9 @@ def load_experiment_data(
         if key not in cache:
             cache[key] = load_dataset(cfg.dataset, data_dir)
         dataset = cache[key]
-    _check_split(dataset.train, "training", "training", 1, cfg.layer_widths)
-    _check_test_split(cfg.method, dataset.test, cfg.layer_widths)
+    widths = cfg.architecture.layer_widths
+    _check_split(dataset.train, "training", "training", 1, widths)
+    _check_test_split(cfg.method, dataset.test, widths)
     return dataset
 
 
@@ -358,7 +354,6 @@ def run_grid(
     seeds=(TrainConfig.rng_seed,),
     epochs: int = TrainConfig.epochs,
     datasets=tuple(KNOWN_DATASETS),
-    layer_widths=DEFAULT_LAYER_WIDTHS,
 ) -> GridResult:
     """All dataset x activation x dropout cells, both methods, every seed.
 
@@ -369,8 +364,8 @@ def run_grid(
     summary JSON with the activation-ordering and dropout-effect checks.
     ``seeds`` and ``datasets`` are sequences such as lists or tuples; a
     string or any other non-sequence, an empty grid, a seed or dataset named
-    twice, a negative seed, a bad ``epochs`` or bad ``layer_widths`` raises
-    ``ValueError`` before any training or file write.
+    twice, a negative seed or a bad ``epochs`` raises ``ValueError`` before
+    any training or file write.
     """
     for name, values in (("seeds", seeds), ("datasets", datasets)):
         if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
@@ -380,7 +375,7 @@ def run_grid(
     configs = [  # all built, and so checked, before the first file write
         ExperimentConfig(
             dataset=dataset, activation=activation, dropout=dropout, method=method,
-            layer_widths=tuple(layer_widths), train=TrainConfig(epochs=epochs, rng_seed=seed),
+            train=TrainConfig(epochs=epochs, rng_seed=seed),
         )
         for dataset, activation, dropout, seed, method in cells
     ]

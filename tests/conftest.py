@@ -7,8 +7,6 @@ from mlpmod.harness import ExperimentConfig
 from mlpmod.mlp import TrainConfig
 from mlpmod.spectral import SpectralConfig
 
-SMOKE_WIDTHS = (784, 16, 16, 16, 16, 10)
-
 
 @pytest.fixture(scope="session")
 def smoke_data_dir(tmp_path_factory):
@@ -63,7 +61,6 @@ def smoke_config(method="weights", activation="relu", dropout=False, seed=0, k=4
         activation=activation,
         dropout=dropout,
         method=method,
-        layer_widths=SMOKE_WIDTHS,
         train=TrainConfig(epochs=1, rng_seed=seed),
         spectral=SpectralConfig(k=k, rng_seed=0),
     )

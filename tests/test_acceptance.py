@@ -20,7 +20,7 @@ from mlpmod.correlation import spearman
 from mlpmod.data import SPLIT_FILES
 from mlpmod.graph import cut_weight, degree, ncut, volume
 from mlpmod.harness import run_experiment, run_grid
-from mlpmod.mlp import TrainConfig, loss_and_gradients, sample_dropout_masks
+from mlpmod.mlp import DEFAULT_LAYER_WIDTHS, TrainConfig, loss_and_gradients, sample_dropout_masks
 from mlpmod.spectral import (
     SpectralConfig,
     cluster_graph,
@@ -28,7 +28,7 @@ from mlpmod.spectral import (
     smallest_eigenvectors,
 )
 
-from conftest import SMOKE_WIDTHS, smoke_config
+from conftest import smoke_config
 from test_correlation import naive_spearman
 from test_graph import naive_cut, naive_degree, naive_ncut, naive_volume, random_adjacency, random_partition
 from test_mlp import assert_gradients_close, finite_difference_gradients, make_model
@@ -407,4 +407,4 @@ def test_acceptance_10_smoke(smoke_data_dir, tmp_path):
                  f"both methods in {elapsed:.1f}s")
     assert elapsed < 30.0
     for r in reports:
-        assert sum(r.cluster_sizes) + r.dropped_nodes == sum(SMOKE_WIDTHS)
+        assert sum(r.cluster_sizes) + r.dropped_nodes == sum(DEFAULT_LAYER_WIDTHS)

@@ -1,5 +1,6 @@
 import functools
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
 from mlpmod.report import ExperimentReport
 from mlpmod.spectral import SpectralConfig
 
-from conftest import SMOKE_WIDTHS, smoke_config
+from conftest import smoke_config
 
 
 def run_cli(*args):
@@ -268,9 +269,7 @@ def test_grid_output_under_regular_file_is_data_error(tmp_path):
 def test_grid_prints_its_tables_and_failed_cells(tmp_path, monkeypatch, capsys):
     # one test example: the weights cells run, every spearman cell fails
     make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=1, seed=0)
-    monkeypatch.setattr(cli, "run_grid", functools.partial(
-        harness.run_grid, datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
-    ))
+    monkeypatch.setattr(cli, "run_grid", functools.partial(harness.run_grid, datasets=("smoke",)))
     out = tmp_path / "grid"
     code = cli.main(["grid", "--epochs", "1", "--data-dir", str(tmp_path), "--out", str(out)])
     stdout = capsys.readouterr().out
@@ -287,9 +286,7 @@ def test_grid_prints_its_tables_and_failed_cells(tmp_path, monkeypatch, capsys):
 
 
 def test_grid_in_which_no_cell_reports_is_data_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_grid", functools.partial(
-        harness.run_grid, datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
-    ))
+    monkeypatch.setattr(cli, "run_grid", functools.partial(harness.run_grid, datasets=("smoke",)))
     out = tmp_path / "grid"
     code = cli.main([
         "grid", "--epochs", "1", "--data-dir", str(tmp_path / "missing"), "--out", str(out),
@@ -390,10 +387,7 @@ def test_report_command_renders_tables(smoke_data_dir, tmp_path):
 def test_report_rewrites_the_grid_tables_byte_for_byte(tmp_path, capsys, n_test):
     make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=n_test, seed=0)
     grid = tmp_path / "grid"
-    run_grid(
-        tmp_path, grid, seeds=(0, 1), epochs=1,
-        datasets=("smoke",), layer_widths=SMOKE_WIDTHS,
-    )
+    run_grid(tmp_path, grid, seeds=(0, 1), epochs=1, datasets=("smoke",))
     assert cli.main(["report", "--in", str(grid / "reports")]) == 0, capsys.readouterr().err
     written = sorted(p.name for p in grid.iterdir() if p.suffix in (".txt", ".csv"))
     rewritten = sorted(p.name for p in (grid / "reports").iterdir() if p.suffix in (".txt", ".csv"))
@@ -557,9 +551,13 @@ def test_report_command_malformed_report_is_data_error(tmp_path, content, fault)
 
 
 def test_report_command_on_grids_of_two_protocols_is_data_error(smoke_data_dir, tmp_path):
-    grid = dict(seeds=[0], datasets=["smoke"])
-    run_grid(smoke_data_dir, tmp_path / "g" / "a", epochs=1, layer_widths=(784, 16, 16, 10), **grid)
-    run_grid(smoke_data_dir, tmp_path / "g" / "b", epochs=3, layer_widths=(784, 32, 10), **grid)
+    # the grid runs one network, so the second protocol is a copy of its
+    # reports with other layer widths
+    run_grid(smoke_data_dir, tmp_path / "g" / "a", seeds=[0], epochs=1, datasets=["smoke"])
+    shutil.copytree(tmp_path / "g" / "a" / "reports", tmp_path / "g" / "b" / "reports")
+    for path in (tmp_path / "g" / "b" / "reports").glob("report_*.json"):
+        report = json.loads(path.read_text())
+        path.write_text(json.dumps({**report, "layer_widths": [784, 32, 10]}))
     proc = run_cli("report", "--in", str(tmp_path / "g"))
     assert proc.returncode == 2, proc.stderr
     first = "report_smoke_relu_dropout_spearman_seed0.json"

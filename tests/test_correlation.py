@@ -6,9 +6,8 @@ import pytest
 from mlpmod.correlation import build_correlation_adjacency, spearman, standardize_rank_rows
 from mlpmod.data import load_dataset
 from mlpmod.graph import build_weight_adjacency
-from mlpmod.mlp import MlpArchitecture, init_model, record_activations
+from mlpmod.mlp import DEFAULT_LAYER_WIDTHS, MlpArchitecture, init_model, record_activations
 
-from conftest import SMOKE_WIDTHS
 from test_graph import assert_layered_adjacency, layer_offsets
 
 
@@ -349,12 +348,12 @@ def test_standardized_ranks_reject_bad_tables():
 
 
 def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
-    model = init_model(MlpArchitecture(layer_widths=SMOKE_WIDTHS), np.random.default_rng(0))
+    model = init_model(MlpArchitecture(), np.random.default_rng(0))
     layers = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
     table = np.concatenate(layers)
     assert np.any(table[784:] == 0.0)  # relu zeros tie in the hidden rows
     z = reference_standardized_rank_rows(table)
-    starts = layer_offsets(SMOKE_WIDTHS)
+    starts = layer_offsets(DEFAULT_LAYER_WIDTHS)
     want = np.zeros((starts[-1], starts[-1]))
     for a, b, c in zip(starts, starts[1:], starts[2:]):
         want[a:b, b:c] = np.abs(z[a:b] @ z[b:c].T)

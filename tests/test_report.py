@@ -20,7 +20,6 @@ from mlpmod.report import (
     write_tables,
 )
 
-from conftest import SMOKE_WIDTHS
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -173,8 +172,7 @@ def test_report_writes_the_table_bytes_of_a_grid_over_datasets_out_of_order(tmp_
     for seed, name in enumerate(("zeta", "alpha")):
         make_synthetic_dataset(tmp_path / "data", name=name, n_train=20, n_test=20, seed=seed)
     grid = tmp_path / "grid"
-    run_grid(tmp_path / "data", grid, seeds=(0,), epochs=1,
-             datasets=["zeta", "alpha"], layer_widths=SMOKE_WIDTHS)
+    run_grid(tmp_path / "data", grid, seeds=(0,), epochs=1, datasets=["zeta", "alpha"])
     shutil.copytree(grid / "reports", tmp_path / "copy")
     assert cli.main(["report", "--in", str(tmp_path / "copy")]) == cli.EXIT_OK
     names = ("table_weights.txt", "table_spearman.txt", "grid.csv")
@@ -209,8 +207,7 @@ def test_readme_names_every_report_field_table_column_and_grid_csv_column():
 
 def test_readme_names_every_grid_summary_key_and_failure_field(tmp_path):
     # a grid without its dataset files fails every cell and still writes the summary
-    run_grid(tmp_path / "missing", tmp_path, epochs=1, datasets=("smoke",),
-             layer_widths=SMOKE_WIDTHS)
+    run_grid(tmp_path / "missing", tmp_path, epochs=1, datasets=("smoke",))
     summary = json.loads((tmp_path / "grid_summary.json").read_text())
     readme = " ".join(README.read_text().split())
     names = [*summary, *summary["failures"][0]]
