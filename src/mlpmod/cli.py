@@ -92,8 +92,8 @@ def _cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
     dataset = load_experiment_data(cfg, args.data_dir, wall_times={})
     ckpt = out_dir / checkpoint_filename(cfg)
-    model = train_and_save(cfg, dataset.train, ckpt)
-    accuracy = evaluate_accuracy(model, dataset.test.images, dataset.test.labels)
+    model = train_and_save(cfg, dataset["train"], ckpt)
+    accuracy = evaluate_accuracy(model, dataset["test"].images, dataset["test"].labels)
     summary = {
         "dataset": args.dataset,
         "activation": args.activation,

@@ -28,7 +28,6 @@ __all__ = [
     "SPLIT_FILES",
     "KNOWN_DATASETS",
     "LabeledImageSet",
-    "Dataset",
     "load_idx_images",
     "load_idx_labels",
     "write_idx_images",
@@ -61,7 +60,7 @@ class DataError(Exception):
     """Missing, malformed or out-of-contract dataset files."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledImageSet:
     """Images as the IDX file's uint8 pixel rows plus integer class labels.
 
@@ -81,13 +80,6 @@ class LabeledImageSet:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-
-@dataclass(frozen=True)
-class Dataset:
-    name: str
-    train: LabeledImageSet
-    test: LabeledImageSet
 
 
 def _read_bytes(path) -> bytes:
@@ -190,8 +182,8 @@ def load_splits(directory, splits) -> dict[str, LabeledImageSet]:
     return {split: load_split_files(*paths[split], split) for split in splits}
 
 
-def load_dataset(name: str, data_dir) -> Dataset:
-    """Load train/test splits from ``<data_dir>/<name>/``.
+def load_dataset(name: str, data_dir) -> dict[str, LabeledImageSet]:
+    """Load ``<data_dir>/<name>/`` as ``{"train": ..., "test": ...}``.
 
     For the two known dataset names the split sizes (60000 train / 10000
     test) are enforced; any other name is loaded as-is, which is how the
@@ -206,7 +198,7 @@ def load_dataset(name: str, data_dir) -> Dataset:
                 raise DataError(
                     f"{name} {split} split has {got} examples, expected {expected}"
                 )
-    return Dataset(name=name, train=splits["train"], test=splits["test"])
+    return splits
 
 
 def make_synthetic_dataset(

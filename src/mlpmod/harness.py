@@ -23,7 +23,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_json
 from .correlation import build_correlation_adjacency
-from .data import KNOWN_DATASETS, DataError, Dataset, LabeledImageSet, load_dataset
+from .data import KNOWN_DATASETS, DataError, LabeledImageSet, load_dataset
 from .graph import build_weight_adjacency
 from .mlp import (
     ACTIVATIONS,
@@ -196,7 +196,7 @@ def _analyze_model(
     sizes = result.cluster_sizes().tolist()
     kept = result.labels >= 0
     layer_of = np.repeat(np.arange(len(arch.layer_widths)), arch.layer_widths)
-    layer_counts = np.zeros((len(arch.layer_widths), result.n_clusters), dtype=np.int64)
+    layer_counts = np.zeros((len(arch.layer_widths), spectral.k), dtype=np.int64)
     np.add.at(layer_counts, (layer_of[kept], result.labels[kept]), 1)
     return ExperimentReport(
         activation=arch.activation,
@@ -219,7 +219,7 @@ def _analyze_model(
 
 def load_experiment_data(
     cfg: ExperimentConfig, data_dir, wall_times: dict, dataset_cache: dict | None = None
-) -> Dataset:
+) -> dict[str, LabeledImageSet]:
     """The dataset ``cfg`` names under ``data_dir``, with both splits checked
     for ``cfg``.
 
@@ -235,8 +235,8 @@ def load_experiment_data(
             cache[key] = load_dataset(cfg.dataset, data_dir)
         dataset = cache[key]
     widths = cfg.architecture.layer_widths
-    _check_split(dataset.train, "training", "training", 1, widths)
-    _check_test_split(cfg.method, dataset.test, widths)
+    _check_split(dataset["train"], "training", "training", 1, widths)
+    _check_test_split(cfg.method, dataset["test"], widths)
     return dataset
 
 
@@ -293,12 +293,12 @@ def run_experiment(
     with _stage("train-or-load", wall_times):
         model = _load_cached(ckpt_path, cfg.architecture)
         if model is None:
-            model = train_and_save(cfg, dataset.train, ckpt_path)
+            model = train_and_save(cfg, dataset["train"], ckpt_path)
 
     report = _analyze_model(
         model,
         cfg.method,
-        dataset.test,
+        dataset["test"],
         cfg.spectral,
         wall_times,
         dataset=cfg.dataset,

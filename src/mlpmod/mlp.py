@@ -108,7 +108,7 @@ class MlpArchitecture:
         return self.layer_widths[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """An architecture and its parameters. The given weights and biases are
     copied into one float64 buffer ``params`` laid out as in a checkpoint,
@@ -117,7 +117,7 @@ class MlpModel:
     architecture: MlpArchitecture
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         given = [np.ravel(a) for pair in zip(self.weights, self.biases) for a in pair]
@@ -314,7 +314,7 @@ def loss_and_gradients(
     return loss, grads_w, grads_b
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First/second moment accumulators shaped like the flat parameter
     array, the step counter and a scratch array of one ``ADAM_BLOCK``, so

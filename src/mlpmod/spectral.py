@@ -75,24 +75,23 @@ class SpectralConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Outcome of clustering one graph.
 
     ``labels`` has one entry per node of the input graph: a cluster id in
-    ``0..n_clusters-1``, numbered in the order of their lowest kept node, or
-    -1 for nodes that were dropped because they had zero degree.
-    ``ncut_value`` is the normalized cut of the partition on the kept
-    subgraph.
+    ``0..k-1``, numbered in the order of their lowest kept node, or -1 for
+    nodes that were dropped because they had zero degree. Every one of the
+    k clusters holds a kept node. ``ncut_value`` is the normalized cut of
+    the partition on the kept subgraph.
     """
 
     labels: np.ndarray
-    n_clusters: int
     ncut_value: float
     kmeans_cost: float
 
     def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels[self.labels >= 0], minlength=self.n_clusters)
+        return np.bincount(self.labels[self.labels >= 0])
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -357,9 +356,4 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
     score = ncut(sub, sub_labels, config.k)
     labels = np.full(deg.size, -1, dtype=np.int64)
     labels[kept] = sub_labels
-    return ClusteringResult(
-        labels=labels,
-        n_clusters=config.k,
-        ncut_value=score,
-        kmeans_cost=cost,
-    )
+    return ClusteringResult(labels=labels, ncut_value=score, kmeans_cost=cost)

@@ -3,7 +3,6 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,7 +468,7 @@ def test_interrupt_exits_130_without_traceback(tmp_path, monkeypatch, capsys):
 def _train_on_smoke(smoke_data_dir, out_dir, monkeypatch, **changes):
     """``mlpmod train`` on the smoke splits, with ``changes`` made to them,
     standing in for an mnist directory."""
-    smoke = replace(load_dataset("smoke", smoke_data_dir), **changes)
+    smoke = {**load_dataset("smoke", smoke_data_dir), **changes}
     monkeypatch.setattr(harness, "load_dataset", lambda name, data_dir: smoke)
     return cli.main([
         "train", "--dataset", "mnist", "--activation", "relu",
@@ -489,7 +488,7 @@ def test_value_error_inside_training_is_numerical_failure(
 
 
 def test_train_refuses_an_empty_training_split(smoke_data_dir, tmp_path, monkeypatch, capsys):
-    smoke_train = load_dataset("smoke", smoke_data_dir).train
+    smoke_train = load_dataset("smoke", smoke_data_dir)["train"]
     empty = LabeledImageSet(smoke_train.images[:0], smoke_train.labels[:0], "train")
     assert _train_on_smoke(smoke_data_dir, tmp_path / "out", monkeypatch, train=empty) == 2
     assert "data error: the training split has 0 example(s)" in capsys.readouterr().err

@@ -349,7 +349,7 @@ def test_standardized_ranks_reject_bad_tables():
 
 def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
     model = init_model(MlpArchitecture(), np.random.default_rng(0))
-    layers = record_activations(model, load_dataset("smoke", smoke_data_dir).test.images)
+    layers = record_activations(model, load_dataset("smoke", smoke_data_dir)["test"].images)
     table = np.concatenate(layers)
     assert np.any(table[784:] == 0.0)  # relu zeros tie in the hidden rows
     z = reference_standardized_rank_rows(table)

@@ -162,8 +162,8 @@ def test_load_split_keeps_the_file_pixels_as_uint8(fixture_images, tmp_path):
 def test_full_size_splits_hold_one_byte_per_pixel(full_shape_mnist_dir):
     # a float64 copy of the pixels would be 8 bytes each
     dataset = load_dataset("mnist", full_shape_mnist_dir)
-    assert dataset.train.images.nbytes == 60000 * 784
-    assert dataset.test.images.nbytes == 10000 * 784
+    assert dataset["train"].images.nbytes == 60000 * 784
+    assert dataset["test"].images.nbytes == 10000 * 784
 
 
 def test_count_mismatch_between_images_and_labels(fixture_images, tmp_path):
@@ -196,11 +196,12 @@ def test_known_dataset_counts_enforced(tmp_path):
 def test_synthetic_dataset_loads_under_its_own_name(tmp_path):
     make_synthetic_dataset(tmp_path, name="smoke", n_train=20, n_test=10, seed=3)
     dataset = load_dataset("smoke", tmp_path)
-    assert len(dataset.train) == 20
-    assert len(dataset.test) == 10
-    assert dataset.train.images.shape == (20, 784)
-    assert dataset.train.labels.min() >= 0
-    assert dataset.train.labels.max() <= 9
+    assert type(dataset) is dict and dataset.keys() == {"train", "test"}
+    assert len(dataset["train"]) == 20
+    assert len(dataset["test"]) == 10
+    assert dataset["train"].images.shape == (20, 784)
+    assert dataset["train"].labels.min() >= 0
+    assert dataset["train"].labels.max() <= 9
 
 
 def test_synthetic_dataset_gzip_variant(tmp_path):
@@ -209,4 +210,4 @@ def test_synthetic_dataset_gzip_variant(tmp_path):
         path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
         path.unlink()
     dataset = load_dataset("smokegz", tmp_path)
-    assert len(dataset.train) == 5
+    assert len(dataset["train"]) == 5

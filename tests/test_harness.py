@@ -88,7 +88,7 @@ def test_spearman_accuracy_comes_from_its_activation_table(
     analysis = analyze_checkpoint(
         tmp_path / "checkpoints" / trained.checkpoint, "spearman",
         spectral=SpectralConfig(k=4, rng_seed=0),
-        test_set=load_dataset("smoke", smoke_data_dir).test,
+        test_set=load_dataset("smoke", smoke_data_dir)["test"],
     )
     assert cached.test_accuracy_percent == trained.test_accuracy_percent
     assert analysis.test_accuracy_percent == trained.test_accuracy_percent
@@ -242,7 +242,7 @@ def test_analyze_spearman_with_test_split(smoke_data_dir, tmp_path):
     dataset = load_dataset("smoke", smoke_data_dir)
     analysis = analyze_checkpoint(
         ckpt, "spearman", spectral=SpectralConfig(k=4, rng_seed=0),
-        test_set=dataset.test,
+        test_set=dataset["test"],
     )
     assert analysis.ncut == pipeline.ncut
     assert analysis.test_accuracy_percent == pipeline.test_accuracy_percent

@@ -3,7 +3,8 @@ import pytest
 
 import mlpmod.mlp
 from mlpmod.checkpoint import load_checkpoint, save_checkpoint
-from mlpmod.data import Dataset, LabeledImageSet
+from mlpmod.data import LabeledImageSet
+from mlpmod.graph import LayeredGraph
 from mlpmod.mlp import (
     _activate,
     ADAM_BETA1,
@@ -27,6 +28,7 @@ from mlpmod.mlp import (
     softmax_cross_entropy,
     train,
 )
+from mlpmod.spectral import ClusteringResult
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,24 @@ def test_adam_shape_mismatch():
         adam_step(params, np.zeros(3), AdamState.for_params(np.zeros(4)))
 
 
+def test_records_that_hold_arrays_compare_by_identity():
+    """A generated ``==`` would compare the arrays elementwise and raise,
+    and a generated ``hash`` would hash them, so these records use
+    ``object``'s identity comparison and hash."""
+    arch = MlpArchitecture(layer_widths=(4, 3, 2))
+    builders = [
+        lambda: init_model(arch, np.random.default_rng(0)),
+        lambda: AdamState.for_params(np.zeros(5)),
+        lambda: LabeledImageSet(np.zeros((2, 4)), np.zeros(2, dtype=np.int64), "test"),
+        lambda: ClusteringResult(labels=np.array([0, 1, -1]), ncut_value=0.5, kmeans_cost=0.1),
+        lambda: LayeredGraph.from_layers([np.ones((2, 3))]),
+    ]
+    for build in builders:
+        a, b = build(), build()
+        assert (a == b) is False and a == a
+        assert len({a, b}) == 2
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -381,15 +401,15 @@ def separable_dataset(n=400, seed=0):
     order = rng.permutation(n)
     x, y = x[order], y[order]
     split = LabeledImageSet(images=x, labels=y, split="train")
-    return Dataset(name="toy", train=split, test=split)
+    return {"train": split, "test": split}
 
 
 def test_train_separable_toy_reaches_99_percent():
     dataset = separable_dataset()
     arch = MlpArchitecture(layer_widths=(4, 8, 2), activation="relu")
     cfg = TrainConfig(epochs=80, rng_seed=0)
-    model = train(dataset.train, arch, cfg)
-    assert evaluate_accuracy(model, dataset.test.images, dataset.test.labels) >= 0.99
+    model = train(dataset["train"], arch, cfg)
+    assert evaluate_accuracy(model, dataset["test"].images, dataset["test"].labels) >= 0.99
     for w in model.weights:
         assert np.all(np.isfinite(w))
 
@@ -398,8 +418,8 @@ def test_train_deterministic_same_seed():
     dataset = separable_dataset(n=120, seed=1)
     arch = MlpArchitecture(layer_widths=(4, 6, 2), activation="sigmoid", dropout_rate=0.5)
     cfg = TrainConfig(epochs=2, rng_seed=42)
-    model_a = train(dataset.train, arch, cfg)
-    model_b = train(dataset.train, arch, cfg)
+    model_a = train(dataset["train"], arch, cfg)
+    model_b = train(dataset["train"], arch, cfg)
     for w_a, w_b in zip(model_a.weights, model_b.weights):
         np.testing.assert_array_equal(w_a, w_b)
     for b_a, b_b in zip(model_a.biases, model_b.biases):
@@ -409,7 +429,7 @@ def test_train_deterministic_same_seed():
 def test_trained_model_views_round_trip_bit_exact(tmp_path):
     dataset = separable_dataset(n=120, seed=4)
     arch = MlpArchitecture(layer_widths=(4, 5, 3, 2), activation="relu")
-    model = train(dataset.train, arch, TrainConfig(epochs=2, rng_seed=6))
+    model = train(dataset["train"], arch, TrainConfig(epochs=2, rng_seed=6))
     params = model.weights + model.biases
     # one shared parameter buffer behind every weight and bias
     buffer = params[0].base
@@ -430,7 +450,7 @@ def test_train_divergence_detected(monkeypatch):
     arch = MlpArchitecture(layer_widths=(4, 8, 8, 2), activation="relu")
     cfg = TrainConfig(epochs=3, rng_seed=0)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
-        train(dataset.train, arch, cfg)
+        train(dataset["train"], arch, cfg)
 
 
 @pytest.mark.parametrize("activation, dropout", [("relu", 0.0), ("sigmoid", 0.5)])
