@@ -193,11 +193,11 @@ def _analyze_model(
             accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)
     with _stage("cluster", wall_times):
         result = cluster_graph(graph, spectral)
-    sizes = result.cluster_sizes().tolist()
     kept = result.labels >= 0
     layer_of = np.repeat(np.arange(len(arch.layer_widths)), arch.layer_widths)
     layer_counts = np.zeros((len(arch.layer_widths), spectral.k), dtype=np.int64)
     np.add.at(layer_counts, (layer_of[kept], result.labels[kept]), 1)
+    sizes = layer_counts.sum(axis=0).tolist()
     return ExperimentReport(
         activation=arch.activation,
         dropout=arch.dropout_rate > 0,

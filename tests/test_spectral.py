@@ -610,7 +610,7 @@ def test_block_path_with_a_vanishing_kth_singular_value_takes_the_dense_route():
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-10)
         result = cluster_graph(graph, SpectralConfig(k=k, rng_seed=0))
         assert np.all(result.labels >= 0)
-        assert np.all(result.cluster_sizes() > 0)
+        assert len(result.cluster_sizes()) == k  # labels are dense, so all k are nonempty
 
 
 def test_bipartite_residual_failure_carries_norms(monkeypatch):
