@@ -132,6 +132,8 @@ def degree(adjacency: np.ndarray, node: int) -> float:
 
 def _as_index_array(nodes: Iterable[int], n: int, what: str) -> np.ndarray:
     idx = np.asarray(sorted(nodes) if isinstance(nodes, (set, frozenset)) else list(nodes))
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{what} must hold integer node indices, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"{what} contains node indices outside 0..{n - 1}")
     return idx.astype(np.intp)
@@ -165,6 +167,8 @@ def ncut(graph: LayeredGraph | np.ndarray, labels: np.ndarray, n_clusters: int) 
     clusters are better separated; 0 means no edges cross cluster borders.
     """
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     if isinstance(graph, LayeredGraph):
         n = graph.n_nodes
     else:

@@ -103,10 +103,6 @@ class MlpArchitecture:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
-    @property
-    def n_classes(self) -> int:
-        return self.layer_widths[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
@@ -292,7 +288,7 @@ def loss_and_gradients(
     """
     x = _check_batch(model, inputs)
     y = np.asarray(labels)
-    n_classes = model.architecture.n_classes
+    n_classes = model.architecture.layer_widths[-1]
     if y.shape != (x.shape[0],):
         raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
     if y.min() < 0 or y.max() >= n_classes:
@@ -415,6 +411,8 @@ def evaluate_accuracy(model: MlpModel, images: np.ndarray, labels: np.ndarray) -
 
 def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows of ``logits`` whose argmax matches the label."""
+    if np.shape(labels) != (logits.shape[0],):
+        raise ValueError(f"labels must have shape ({logits.shape[0]},), got {np.shape(labels)}")
     return np.count_nonzero(np.argmax(logits, axis=1) == labels) / logits.shape[0]
 
 

@@ -90,9 +90,6 @@ class ClusteringResult:
     ncut_value: float
     kmeans_cost: float
 
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels[self.labels >= 0])
-
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name imports, every demo
-runs and the README's demo table names every demo."""
+and the README's Library example run, and the README's demo table names
+every demo."""
 
 import importlib
 import os
@@ -9,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mlpmod
+from mlpmod.checkpoint import save_checkpoint
+from mlpmod.mlp import MlpArchitecture, init_model
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -32,6 +36,21 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    block = re.search(r"^```python\n(.*?)^```$", library, flags=re.MULTILINE | re.DOTALL).group(1)
+    path = tmp_path / re.search(r'load_checkpoint\("([^"]+)"\)', block).group(1)
+    path.parent.mkdir(parents=True)
+    save_checkpoint(init_model(MlpArchitecture(), np.random.default_rng(0)), path)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -201,6 +201,12 @@ def test_degree_out_of_range():
         cut_weight(a, [-1], [2])
     with pytest.raises(ValueError, match=r"^right set contains node indices outside 0\.\.2$"):
         cut_weight(a, [0], [3])
+    with pytest.raises(ValueError, match=r"^cluster must hold integer node indices, got dtype float64$"):
+        volume(a, [1.7])
+    with pytest.raises(ValueError, match=r"^left set must hold integer node indices, got dtype float64$"):
+        cut_weight(a, {0.0}, [2])
+    with pytest.raises(ValueError, match=r"^right set must hold integer node indices, got dtype bool$"):
+        cut_weight(a, [0], [True])
 
 
 def test_degree_matches_row_sum_oracle():
@@ -405,6 +411,15 @@ def test_ncut_rejects_a_label_equal_to_k():
     for g in (graph, graph.dense()):
         with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
             ncut(g, labels, 2)
+
+
+def test_ncut_rejects_labels_that_are_not_integers():
+    # a label of 0.5 would put node 1 in no cluster and still give a score
+    for g in (LayeredGraph.from_layers([np.ones((2, 2))]), path_graph(4)):
+        with pytest.raises(ValueError, match=r"^labels must be integers, got dtype float64$"):
+            ncut(g, np.array([0, 0.5, 1, 1]), 2)
+        with pytest.raises(ValueError, match=r"^labels must be integers, got dtype float64$"):
+            ncut(g, np.array([0.0, 0.0, 1.0, 1.0]), 2)
 
 
 def test_subgraph_matches_dense_oracle_with_a_dead_layer():

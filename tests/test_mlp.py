@@ -495,6 +495,18 @@ def test_recorded_logits_give_evaluate_accuracy():
     assert logit_accuracy(logits, labels) == evaluate_accuracy(model, x, labels)
 
 
+def test_accuracy_rejects_labels_of_the_wrong_length():
+    # one label for three rows would broadcast and score 1.0
+    model = make_model((3, 2))
+    x = np.zeros((3, 3))
+    with pytest.raises(ValueError, match=r"^labels must have shape \(3,\), got \(1,\)$"):
+        logit_accuracy(np.zeros((3, 10)), np.array([0]))
+    with pytest.raises(ValueError, match=r"^labels must have shape \(3,\), got \(1,\)$"):
+        evaluate_accuracy(model, x, np.array([0]))
+    with pytest.raises(ValueError, match=r"^labels must have shape \(3,\), got \(3, 1\)$"):
+        logit_accuracy(np.zeros((3, 10)), np.zeros((3, 1), dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # activation recording
 
@@ -591,8 +603,6 @@ def test_architecture_validation():
         MlpArchitecture(layer_widths=(5, 2), activation="tanh")
     with pytest.raises(ValueError):
         MlpArchitecture(layer_widths=(5, 2), dropout_rate=1.0)
-    arch = MlpArchitecture(layer_widths=(784, 256, 256, 256, 256, 10))
-    assert arch.n_classes == 10
 
 
 def test_model_rejects_parameters_of_other_shapes():
