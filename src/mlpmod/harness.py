@@ -126,8 +126,8 @@ def report_filename(cfg: ExperimentConfig) -> str:
 def _check_split(split: LabeledImageSet, name: str, use: str, needed: int, widths: tuple) -> None:
     """Raise ``DataError`` naming the ``name`` split unless it has at least
     ``needed`` examples for ``use``, images as wide as the input layer of a
-    model of layer ``widths`` and every label below the width of its output
-    layer."""
+    model of layer ``widths`` and non-negative integer labels below the
+    width of its output layer."""
     if len(split) < needed:
         raise DataError(
             f"the {name} split has {len(split)} example(s); {use} needs at least {needed}"
@@ -137,9 +137,12 @@ def _check_split(split: LabeledImageSet, name: str, use: str, needed: int, width
             f"{name} images have {split.images.shape[1]} pixels but the "
             f"model's input layer has {widths[0]} neurons"
         )
-    if split.labels.max() >= widths[-1]:
+    labels = split.labels
+    if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0:
+        raise DataError(f"the {name} split has {labels.dtype} labels with minimum {labels.min()}")
+    if labels.max() >= widths[-1]:
         raise DataError(
-            f"the {name} split has label {split.labels.max()} but the model's output "
+            f"the {name} split has label {labels.max()} but the model's output "
             f"layer has {widths[-1]} neurons"
         )
 

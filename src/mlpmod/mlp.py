@@ -404,7 +404,7 @@ def evaluate_accuracy(model: MlpModel, images: np.ndarray, labels: np.ndarray) -
     images are scaled one ``EVAL_BATCH`` at a time."""
     logits = [
         forward(model, images[start : start + EVAL_BATCH])
-        for start in range(0, images.shape[0], EVAL_BATCH)
+        for start in range(0, max(len(images), 1), EVAL_BATCH)
     ]
     return logit_accuracy(np.concatenate(logits), labels)
 
@@ -413,6 +413,8 @@ def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows of ``logits`` whose argmax matches the label."""
     if np.shape(labels) != (logits.shape[0],):
         raise ValueError(f"labels must have shape ({logits.shape[0]},), got {np.shape(labels)}")
+    if logits.shape[0] == 0:
+        raise ValueError("no examples to score")
     return np.count_nonzero(np.argmax(logits, axis=1) == labels) / logits.shape[0]
 
 

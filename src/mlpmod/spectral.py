@@ -37,10 +37,6 @@ __all__ = [
 class EigensolverError(RuntimeError):
     """Eigendecomposition failed or produced out-of-tolerance residuals."""
 
-    def __init__(self, message: str, residuals: np.ndarray | None = None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class TooFewNodesError(ValueError):
     """k exceeds the nodes of nonzero degree of a graph that has edges."""
@@ -118,8 +114,8 @@ def smallest_eigenvectors(laplacian: np.ndarray, n_vectors: int) -> tuple[np.nda
     Returns ``(eigenvalues, eigenvectors)`` with orthonormal columns. Every
     returned pair is residual-checked against the full matrix: ``||L v - lam
     v|| <= EIG_TOL * max(1, ||L||_F)``; a violation, a NaN pair or an
-    asymmetric ``laplacian`` raises :class:`EigensolverError` carrying the
-    residual norms.
+    asymmetric ``laplacian`` raises :class:`EigensolverError`, whose message
+    gives the largest residual.
     """
     lap = np.asarray(laplacian, dtype=np.float64)
     n = lap.shape[0]
@@ -196,8 +192,7 @@ def _check_eigenpairs(residuals: np.ndarray, laplacian_norm: float, vectors: np.
     if not np.all(residuals <= EIG_TOL * max(1.0, laplacian_norm)):
         raise EigensolverError(
             f"eigenpair residuals exceed {EIG_TOL:g} * max(1, ||L||_F): "
-            f"max {residuals.max():.3e}",
-            residuals=residuals,
+            f"max {residuals.max():.3e}"
         )
     gram = vectors.T @ vectors
     if not (np.max(np.abs(gram - np.eye(vectors.shape[1]))) <= 1e-8):

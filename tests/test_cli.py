@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -181,6 +182,22 @@ def test_labels_beyond_the_output_layer_are_data_error(smoke_data_dir, tmp_path,
     assert "data error" in proc.stderr
     assert "test split has label" in proc.stderr and "output layer has 5 neurons" in proc.stderr
     assert not list(tmp_path.glob("analysis_*.json"))
+
+
+def test_an_eigensolver_failure_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(init_model(MlpArchitecture(), np.random.default_rng(0)), ckpt)
+    # an impossible tolerance makes the residual check refuse every eigenpair
+    monkeypatch.setattr(spectral, "EIG_TOL", 1e-18)
+    code = cli.main([
+        "analyze", "--checkpoint", str(ckpt), "--method", "weights", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL, err
+    assert err.startswith("numerical failure: stage 'cluster' failed: eigenpair residuals exceed")
+    # the message ends in the largest residual
+    assert re.search(r": max \d\.\d{3}e[-+]\d+\n$", err)
+    assert not list(tmp_path.rglob("analysis_*.json"))
 
 
 def test_output_path_under_regular_file_is_data_error(tmp_path):

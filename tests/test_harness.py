@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mlpmod import harness
-from mlpmod.data import DataError, load_dataset, make_synthetic_dataset
+from mlpmod.checkpoint import save_checkpoint
+from mlpmod.data import DataError, LabeledImageSet, load_dataset, make_synthetic_dataset
 from mlpmod.harness import (
     ExperimentConfig,
     StageError,
@@ -17,7 +18,7 @@ from mlpmod.harness import (
     run_experiment,
     run_grid,
 )
-from mlpmod.mlp import DEFAULT_LAYER_WIDTHS, TrainConfig
+from mlpmod.mlp import DEFAULT_LAYER_WIDTHS, MlpArchitecture, TrainConfig, init_model
 from mlpmod.report import METHODS, ExperimentReport, load_reports
 from mlpmod.spectral import SpectralConfig
 
@@ -246,6 +247,23 @@ def test_analyze_spearman_with_test_split(smoke_data_dir, tmp_path):
     )
     assert analysis.ncut == pipeline.ncut
     assert analysis.test_accuracy_percent == pipeline.test_accuracy_percent
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("label", [-1, 0.5])
+def test_labels_that_are_not_class_indices_are_data_error(tmp_path, method, label):
+    # such labels match no logit, so unrefused they would score 0% accuracy
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0)), ckpt
+    )
+    images = np.random.default_rng(1).integers(0, 256, (4, 784), dtype=np.uint8)
+    labels = np.full(4, label)
+    test_set = LabeledImageSet(images, labels, "test")
+    with pytest.raises(
+        DataError, match=f"^the test split has {labels.dtype} labels with minimum {label}$"
+    ):
+        analyze_checkpoint(ckpt, method, test_set=test_set)
 
 
 def test_run_grid_on_synthetic(smoke_data_dir, tmp_path):

@@ -507,6 +507,19 @@ def test_accuracy_rejects_labels_of_the_wrong_length():
         logit_accuracy(np.zeros((3, 10)), np.zeros((3, 1), dtype=np.int64))
 
 
+def test_accuracy_refuses_an_empty_example_set():
+    # unrefused, no rows would score nan or leave no chunk to concatenate
+    model = make_model((4, 3))
+    no_labels = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="^no examples to score$"):
+        logit_accuracy(np.zeros((0, 3)), no_labels)
+    with pytest.raises(ValueError, match="^no examples to score$"):
+        evaluate_accuracy(model, np.zeros((0, 4)), no_labels)
+    # a batch of the wrong width is still named first
+    with pytest.raises(ValueError, match=r"^batch must have shape \(m, 4\), got \(0, 5\)$"):
+        evaluate_accuracy(model, np.zeros((0, 5)), no_labels)
+
+
 # ---------------------------------------------------------------------------
 # activation recording
 
