@@ -164,7 +164,7 @@ def ncut(graph: LayeredGraph | np.ndarray, labels: np.ndarray, n_clusters: int) 
     weights come from its blocks, or a dense adjacency matrix.
     ``labels[i]`` is the cluster of node ``i``, in ``0..n_clusters-1``; every
     cluster must be nonempty and have positive volume. Lower values mean the
-    clusters are better separated; 0 means no edges cross cluster borders.
+    clusters are better separated; 0 means every edge stays inside its cluster.
     """
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):

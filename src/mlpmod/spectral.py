@@ -39,7 +39,7 @@ class EigensolverError(RuntimeError):
 
 
 class TooFewNodesError(ValueError):
-    """k exceeds the nodes of nonzero degree of a graph that has edges."""
+    """k exceeds the nodes of nonzero degree, none for an edgeless graph."""
 
 
 # fixed settings of every clustering run
@@ -310,9 +310,9 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
     block of a ``LayeredGraph``, or the whole dense matrix, must hold finite,
     nonnegative entries, and a dense matrix must also be square and
     symmetric to within 1e-12 (a ``LayeredGraph`` is symmetric by
-    construction). Zero-degree nodes are removed up front and labelled -1;
-    a graph with no edge raises ``ValueError``, and a ``config.k`` above the
-    count of kept nodes raises :class:`TooFewNodesError`.
+    construction). Zero-degree nodes are removed up front and labelled -1,
+    and a ``config.k`` above the count of kept nodes, 0 for an edgeless
+    graph, raises :class:`TooFewNodesError`.
     The kept subgraph's smallest eigenvectors come from
     :func:`bipartite_eigenvectors` for a ``LayeredGraph`` and from
     :func:`normalized_laplacian` and :func:`smallest_eigenvectors` for a
@@ -333,8 +333,6 @@ def cluster_graph(graph: LayeredGraph | np.ndarray, config: SpectralConfig) -> C
             raise ValueError(f"adjacency is not symmetric (max asymmetry {asym:.3e})")
         deg = a.sum(axis=1)
     kept = np.flatnonzero(deg > 0)
-    if kept.size == 0:
-        raise ValueError("the graph has no edge: every node has zero degree")
     if kept.size < config.k:
         raise TooFewNodesError(f"k={config.k} exceeds the {kept.size} nodes of nonzero degree")
     if isinstance(graph, LayeredGraph):

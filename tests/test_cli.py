@@ -103,8 +103,11 @@ def test_spearman_without_data_dir_is_usage_error(tmp_path):
     assert "spearman" in proc.stderr
 
 
-def test_degenerate_checkpoint_exit_code_3(tmp_path):
-    # all-zero weights: every node has zero degree, clustering cannot start
+EDGELESS = "data error: stage 'cluster' failed: k=4 exceeds the 0 nodes of nonzero degree\n"
+
+
+def test_edgeless_checkpoint_is_data_error(tmp_path):
+    # all-zero weights: every node has zero degree, so no node is left to cluster
     model = init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0))
     for w in model.weights:
         w[:] = 0.0
@@ -114,8 +117,8 @@ def test_degenerate_checkpoint_exit_code_3(tmp_path):
         "analyze", "--checkpoint", str(ckpt), "--method", "weights",
         "--out", str(tmp_path),
     )
-    assert proc.returncode == 3
-    assert "numerical failure: stage 'cluster' failed: the graph has no edge" in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == EDGELESS
 
 
 @pytest.mark.parametrize(
@@ -272,6 +275,27 @@ def test_analyze_too_few_test_examples_is_data_error(tmp_path, capsys, n_test, m
     err = capsys.readouterr().err
     assert code == 2, err
     assert "data error" in err and f"has {n_test} example" in err
+
+
+def test_spearman_on_images_that_are_all_alike_is_data_error(tmp_path, capsys):
+    # alike images give every unit a constant activation, so no correlation edge is left
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    images_name, labels_name = SPLIT_FILES["test"]
+    write_idx_images(data_dir / images_name, np.zeros((4, 784)))
+    write_idx_labels(data_dir / labels_name, np.arange(4))
+    ckpt = tmp_path / "model.mlpc"
+    save_checkpoint(
+        init_model(MlpArchitecture(layer_widths=(784, 8, 10)), np.random.default_rng(0)), ckpt
+    )
+    code = cli.main([
+        "analyze", "--checkpoint", str(ckpt), "--method", "spearman",
+        "--data-dir", str(data_dir), "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == EDGELESS
+    assert not list(tmp_path.rglob("analysis_*.json"))
 
 
 def test_grid_output_under_regular_file_is_data_error(tmp_path):
