@@ -463,6 +463,9 @@ def test_cluster_graph_too_few_live_nodes():
     for graph in (a, layered):
         with pytest.raises(TooFewNodesError, match="^k=4 exceeds the 2 nodes of nonzero degree$"):
             cluster_graph(graph, SpectralConfig(k=4, rng_seed=0))
+
+
+def test_cluster_graph_without_edges_is_too_few_nodes():
     # an edgeless graph has no live node at all
     for graph in (np.zeros((5, 5)), LayeredGraph.from_layers([np.zeros((2, 3))])):
         with pytest.raises(TooFewNodesError, match="^k=2 exceeds the 0 nodes of nonzero degree$"):
