@@ -2,13 +2,14 @@
 
 Shows a monotone relation, a worked correlation with a tie under the
 average-rank convention, the dead-unit convention, and a full correlation
-adjacency for a toy network.
+adjacency built from a toy network's activations.
 """
 
 import numpy as np
 
 from mlpmod import build_correlation_adjacency
 from mlpmod.correlation import spearman
+from mlpmod.mlp import MlpArchitecture, MlpModel
 
 # a monotone relation scores 1 no matter how nonlinear it is
 x = np.array([0.5, 1.0, 2.0, 3.5, 9.0])
@@ -24,17 +25,16 @@ print(f"8/sqrt(95)                     = {8 / np.sqrt(95):.6f}")
 dead = np.zeros(5)
 print("spearman(dead unit, anything) =", spearman(dead, y))
 
-# activations of a 1-2-1 network over 5 recorded examples: one array per
-# layer, one row per neuron, as record_activations returns them
-layers = [
-    np.array([[0.1, 0.4, 0.2, 0.9, 0.6]]),      # input pixel
-    np.stack([
-        np.array([0.2, 0.8, 0.4, 1.8, 1.2]),    # hidden0 tracks the input
-        dead,                                    # hidden1 never fires
-    ]),
-    np.array([[0.9, 0.2, 0.6, 0.1, 0.15]]),     # output anti-correlated
-]
-graph = build_correlation_adjacency(layers)
+# a 1-2-1 relu network over 5 examples of its one input pixel x: hidden0 =
+# 2x tracks the input, hidden1 = x - 2 is negative on every input so it
+# never fires, and the output -hidden0 + 1 is anti-correlated with hidden0
+model = MlpModel(
+    architecture=MlpArchitecture(layer_widths=(1, 2, 1), activation="relu"),
+    weights=[np.array([[2.0], [1.0]]), np.array([[-1.0, 1.0]])],
+    biases=[np.array([0.0, -2.0]), np.array([1.0])],
+)
+pixels = np.array([[0.1], [0.4], [0.2], [0.9], [0.6]])
+graph, _ = build_correlation_adjacency(model, pixels)  # the graph and the logits
 print("\ncorrelation adjacency (|spearman| on edges):")
 print(np.round(graph.dense(), 3))
 print("dead hidden1 (node 2) has only zero-weight edges")

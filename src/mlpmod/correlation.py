@@ -1,19 +1,20 @@
 """Spearman rank correlation and the activation-correlation adjacency.
 
 Edge weights are the absolute Spearman correlation between the two endpoint
-neurons' activation vectors over a fixed evaluation set. Ranks use the
-average-rank convention for ties; a constant activation vector (a dead unit
-or an always-equal input pixel) has no defined rank correlation and
+neurons' activation vectors over a fixed evaluation set: the inputs as the
+first layer sees them, hidden post-nonlinearity outputs, or logits. Ranks use
+the average-rank convention for ties; a constant activation vector (a dead
+unit or an always-equal input pixel) has no defined rank correlation and
 contributes weight 0 by convention.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
+from . import mlp
 from .graph import LayeredGraph
 
 __all__ = [
@@ -94,31 +95,33 @@ def _standardize_ranks(x: np.ndarray) -> None:
     x[position] = np.repeat(twice_centered * 0.5 / norm, sizes)
 
 
-def build_correlation_adjacency(activations: Sequence[np.ndarray]) -> LayeredGraph:
-    """The network graph with |Spearman correlation| edge weights, as a
-    :class:`~mlpmod.graph.LayeredGraph`; ``.dense()`` gives the n x n matrix.
+def build_correlation_adjacency(
+    model: mlp.MlpModel, images: np.ndarray
+) -> tuple[LayeredGraph, np.ndarray]:
+    """``model``'s graph over ``images`` with |Spearman correlation| edge
+    weights, as a :class:`~mlpmod.graph.LayeredGraph`, and the images' logits.
 
-    ``activations[l]`` is layer ``l``'s ``(w[l], m)`` activations, as
-    ``record_activations`` returns them: one row per neuron, one column per
-    recorded example. Every adjacent-layer neuron pair is an edge of the
-    underlying MLP, so each layer-pair block is one matrix product of
-    standardized rank rows.
-
-    Every array is checked before any is ranked: at least two layers, each
-    2-D float64 with at least one row, all with the same ``m >= 2`` columns,
-    or ``ValueError``. Then each array, of any memory layout, is overwritten
-    with its standardized ranks.
+    Each layer is computed from the one before in ``mlp.EVAL_BATCH`` example
+    chunks into a fresh ``(w[l], m)`` table, ranked in place and multiplied
+    with the table before. A batch of the wrong width raises ``ValueError``
+    first, even with no images; so do fewer than two images.
     """
-    if len(activations) < 2:
-        raise ValueError(f"need at least two layers of activations, got {len(activations)}")
-    for layer, a in enumerate(activations):
-        if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] < 1:
-            raise ValueError(f"layer {layer} is {a.dtype} {a.shape}, not float64 (n >= 1, m)")
-        if a.shape[1] != activations[0].shape[1]:
-            m = activations[0].shape[1]
-            raise ValueError(f"layer {layer} has {a.shape[1]} recorded examples, layer 0 has {m}")
-    if activations[0].shape[1] < 2:
+    images = np.asarray(images)
+    if len(images) < 2:
+        mlp._check_batch(model, images)  # a batch of the wrong width is named first
         raise ValueError("need at least two recorded examples")
-    for a in activations:
-        standardize_rank_rows(a)
-    return LayeredGraph.from_layers([np.abs(a @ b.T) for a, b in zip(activations, activations[1:])])
+    chunks = [slice(s, s + mlp.EVAL_BATCH) for s in range(0, len(images), mlp.EVAL_BATCH)]
+    blocks = []
+    for t, width in enumerate(model.architecture.layer_widths):
+        if t < 2:  # scaled one chunk at a time, and again as the inputs of layer 1
+            acts = (mlp._check_batch(model, images[examples]) for examples in chunks)
+        if t > 0:
+            acts = [mlp._connection(model, t - 1, a) for a in acts]
+        layer = np.empty((width, len(images)))
+        for examples, a in zip(chunks, acts):
+            layer[:, examples] = a.T
+        standardize_rank_rows(layer)
+        if t > 0:
+            blocks.append(np.abs(prev @ layer.T))
+        prev = layer
+    return LayeredGraph.from_layers(blocks), np.concatenate(acts)

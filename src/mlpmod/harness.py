@@ -32,7 +32,6 @@ from .mlp import (
     TrainConfig,
     evaluate_accuracy,
     logit_accuracy,
-    record_activations,
     train,
 )
 from .report import METHODS, ExperimentReport, ordering_summary, write_tables
@@ -177,8 +176,8 @@ def _analyze_model(
 
     The caller has passed ``method`` and ``test_set`` through
     ``_check_test_split``. Test accuracy is measured whenever ``test_set``
-    is given; under spearman it comes from the last recorded layer, the
-    logits, so each method runs the test set through the model once.
+    is given; under spearman it comes from the logits that the graph build
+    returns, so each method runs the test set through the model once.
     """
     arch = model.architecture
     accuracy = None
@@ -186,11 +185,8 @@ def _analyze_model(
         if method == "weights":
             graph = build_weight_adjacency(model.weights)
         else:
-            layers = record_activations(model, test_set.images)
-            # read before the graph build ranks the layers in place
-            accuracy = logit_accuracy(layers[-1].T, test_set.labels)
-            graph = build_correlation_adjacency(layers)
-            del layers  # every neuron's m floats, dead once ranked: free before clustering
+            graph, logits = build_correlation_adjacency(model, test_set.images)
+            accuracy = logit_accuracy(logits, test_set.labels)
     if method == "weights" and test_set is not None:
         with _stage("accuracy", wall_times):
             accuracy = evaluate_accuracy(model, test_set.images, test_set.labels)

@@ -13,9 +13,6 @@ Conventions used throughout:
 * a batch of uint8 pixels is scaled by ``1/255`` as it enters the first
   layer, one batch at a time, and any other batch is taken as float64 as
   it is;
-* recorded activations are: input neurons = the inputs as the first layer
-  sees them (pixels in [0, 1]), hidden neurons = post-nonlinearity
-  outputs, output neurons = logits;
 * training runs minibatches of ``BATCH_SIZE`` through Adam at step size
   ``LEARNING_RATE``; a ``TrainConfig`` sets only the epochs and the seed;
   Adam updates the parameters in slices of ``ADAM_BLOCK`` elements;
@@ -46,7 +43,6 @@ __all__ = [
     "train",
     "evaluate_accuracy",
     "logit_accuracy",
-    "record_activations",
 ]
 
 ACTIVATIONS = ("relu", "sigmoid")
@@ -65,10 +61,9 @@ ADAM_EPS = 1e-8
 # slice of every buffer while it is in cache, then move to the next
 ADAM_BLOCK = 32768
 
-# examples per forward pass of evaluate_accuracy and record_activations: a
-# chunk's 512 x 256 float64 activations (1 MiB) stay in L2. Chunk size can
-# change bits through BLAS blocking; on the 10000-example test split (last
-# chunk 272 rows) 512 gives the bits of 2048-example chunks, as a test checks
+# examples per forward pass of evaluate_accuracy and the spearman graph: 512 x
+# 256 float64 (1 MiB) stays in L2. Chunk size can move bits through BLAS
+# blocking; on the 10k test split 512 gives the bits of 2048, as a test checks
 EVAL_BATCH = 512
 
 
@@ -234,20 +229,22 @@ def _forward_cached(
     batch, then each hidden layer after dropout), each hidden layer's output
     before dropout and each hidden layer's keep-mask / (1 - p). Dropout
     applies with ``dropout_masks`` and not without."""
-    arch = model.architecture
     inputs, post_acts, scales = [x], [], []
     for t in range(len(model.weights) - 1):
-        z = inputs[t] @ model.weights[t].T
-        z += model.biases[t]
-        h = _activate(z, arch.activation)
+        h = _connection(model, t, inputs[t])
         post_acts.append(h)
         if dropout_masks is not None:
-            scales.append(dropout_masks[t] / (1.0 - arch.dropout_rate))
+            scales.append(dropout_masks[t] / (1.0 - model.architecture.dropout_rate))
             h = h * scales[t]
         inputs.append(h)
-    logits = inputs[-1] @ model.weights[-1].T
-    logits += model.biases[-1]
-    return logits, inputs, post_acts, scales
+    return _connection(model, len(model.weights) - 1, inputs[-1]), inputs, post_acts, scales
+
+
+def _connection(model: MlpModel, t: int, a: np.ndarray) -> np.ndarray:
+    """``a @ W.T + b`` of connection ``t``, activated unless it gives the logits."""
+    z = a @ model.weights[t].T
+    z += model.biases[t]
+    return z if t == len(model.weights) - 1 else _activate(z, model.architecture.activation)
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -402,10 +399,8 @@ def train(train_set, arch: MlpArchitecture, cfg: TrainConfig) -> MlpModel:
 def evaluate_accuracy(model: MlpModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of examples whose argmax logit matches the label; the
     images are scaled one ``EVAL_BATCH`` at a time."""
-    logits = [
-        forward(model, images[start : start + EVAL_BATCH])
-        for start in range(0, max(len(images), 1), EVAL_BATCH)
-    ]
+    starts = range(0, max(len(images), 1), EVAL_BATCH)
+    logits = [forward(model, images[start : start + EVAL_BATCH]) for start in starts]
     return logit_accuracy(np.concatenate(logits), labels)
 
 
@@ -416,23 +411,3 @@ def logit_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.shape[0] == 0:
         raise ValueError("no examples to score")
     return np.count_nonzero(np.argmax(logits, axis=1) == labels) / logits.shape[0]
-
-
-def record_activations(model: MlpModel, images: np.ndarray) -> list[np.ndarray]:
-    """Activations over ``images``, one ``(w[l], m)`` array per layer ``l``
-    (inputs, hidden layers, logits), one column per example. The arrays are
-    views of one C-order table, rows in node order, so each neuron's vector
-    is contiguous. The images are scaled one ``EVAL_BATCH`` at a time, and
-    each scaled chunk fills its columns of the input rows."""
-    images = np.asarray(images)
-    widths = model.architecture.layer_widths
-    table = np.empty((sum(widths), len(images)), dtype=np.float64)
-    layers = np.split(table, np.cumsum(widths[:-1]))
-    # one chunk even of no examples, so that every input gets its checks
-    for start in range(0, max(len(images), 1), EVAL_BATCH):
-        examples = slice(start, start + EVAL_BATCH)
-        x = _check_batch(model, images[examples])
-        logits, conn_inputs, _, _ = _forward_cached(model, x, None)
-        for layer, act in zip(layers, conn_inputs + [logits]):
-            layer[:, examples] = act.T
-    return layers

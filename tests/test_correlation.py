@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from mlpmod.correlation import build_correlation_adjacency, spearman, standardize_rank_rows
+import mlpmod.mlp
+from mlpmod import correlation
+from mlpmod.correlation import spearman, standardize_rank_rows
 from mlpmod.data import load_dataset
 from mlpmod.graph import build_weight_adjacency
-from mlpmod.mlp import DEFAULT_LAYER_WIDTHS, MlpArchitecture, init_model, record_activations
+from mlpmod.mlp import (
+    DEFAULT_LAYER_WIDTHS,
+    MlpArchitecture,
+    evaluate_accuracy,
+    forward,
+    init_model,
+    logit_accuracy,
+)
 
+from spearman_oracle import build_correlation_adjacency, record_activations
 from test_graph import assert_layered_adjacency, layer_offsets
 
 
@@ -360,3 +370,74 @@ def test_adjacency_of_recorded_activations_matches_oracle(smoke_data_dir):
         want[b:c, a:b] = want[a:b, b:c].T
     got = build_correlation_adjacency(layers).dense()
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the layer-by-layer builder against record-then-build
+
+def _builder_case(activation, dtype, m, widths=(20, 12, 8, 4), seed=30):
+    model = init_model(
+        MlpArchitecture(layer_widths=widths, activation=activation), np.random.default_rng(seed)
+    )
+    rng = np.random.default_rng(seed + 1)
+    if dtype == "uint8":
+        images = rng.integers(0, 256, size=(m, widths[0]), dtype=np.uint8)
+        images[:, 3] = 0  # a dead pixel: a constant input row
+    else:
+        images = rng.standard_normal((m, widths[0]))
+    return model, images, rng.integers(0, widths[-1], size=m)
+
+
+def _assert_builder_equals_oracle(model, images, labels):
+    graph, logits = correlation.build_correlation_adjacency(model, images)
+    layers = record_activations(model, images)
+    want_logits = layers[-1].T.copy()
+    assert graph.block.tobytes() == build_correlation_adjacency(layers).block.tobytes()
+    assert logits.tobytes() == want_logits.tobytes()
+    batch = mlpmod.mlp.EVAL_BATCH
+    chunked = [forward(model, images[s : s + batch]) for s in range(0, len(images), batch)]
+    assert logits.tobytes() == np.concatenate(chunked).tobytes()
+    assert logit_accuracy(logits, labels) == evaluate_accuracy(model, images, labels)
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("dtype", ["uint8", "float64"])
+@pytest.mark.parametrize("m", [2, 16, 37])
+def test_builder_gives_the_bits_of_record_then_build(activation, dtype, m, monkeypatch):
+    # 16-example chunks: one short chunk, one full one, and 37 = 2 * 16 + 5
+    monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 16)
+    _assert_builder_equals_oracle(*_builder_case(activation, dtype, m))
+
+
+@pytest.mark.slow
+def test_builder_gives_the_bits_of_record_then_build_at_full_shape():
+    # 10000 = 19 * 512 + 272 test images: the last chunk is short
+    _assert_builder_equals_oracle(*_builder_case("relu", "uint8", 10000, DEFAULT_LAYER_WIDTHS))
+
+
+def test_builder_reads_eval_batch_at_call_time_and_scales_images_per_chunk(monkeypatch):
+    model, images, _ = _builder_case("relu", "uint8", 10)
+    seen = []
+    check_batch = mlpmod.mlp._check_batch
+
+    def recording_check_batch(model, inputs):
+        seen.append(len(inputs))
+        return check_batch(model, inputs)
+
+    monkeypatch.setattr(mlpmod.mlp, "_check_batch", recording_check_batch)
+    monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 4)
+    correlation.build_correlation_adjacency(model, images)
+    # 4-image chunks for the input layer, and again for the first hidden layer
+    assert seen == [4, 4, 2, 4, 4, 2]
+
+
+def test_builder_checks_the_batch_width_before_the_count():
+    model = init_model(MlpArchitecture(layer_widths=(5, 3, 2)), np.random.default_rng(0))
+    for m in (0, 1, 4):
+        with pytest.raises(ValueError, match=r"^batch must have shape \(m, 5\), got \(%d, 6\)$" % m):
+            correlation.build_correlation_adjacency(model, np.zeros((m, 6)))
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="^need at least two recorded examples$"):
+            correlation.build_correlation_adjacency(model, np.zeros((m, 5), dtype=np.uint8))
+    with pytest.raises(ValueError, match="^batch contains non-finite values$"):
+        correlation.build_correlation_adjacency(model, np.full((3, 5), np.nan))

@@ -30,8 +30,7 @@ def test_every_exported_name_imports():
             assert hasattr(module, name), f"mlpmod.{info.name}.__all__ lists missing {name!r}"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def run_demo(demo, tmp_path):
     # demo 03 works in a mkdtemp directory, so TMPDIR keeps it under tmp_path
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
@@ -39,6 +38,20 @@ def test_demo_runs(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    run_demo(demo, tmp_path)
+
+
+def test_spearman_demo_prints_the_toy_adjacency(tmp_path):
+    # input-hidden0 and hidden0-output correlate perfectly; the dead hidden1
+    # has no weight
+    stdout = run_demo(REPO / "demos" / "04_spearman_edges.py", tmp_path)
+    matrix = "[[0. 1. 0. 0.]\n [1. 0. 0. 1.]\n [0. 0. 0. 0.]\n [0. 1. 0. 0.]]\n"
+    assert "(|spearman| on edges):\n" + matrix in stdout
 
 
 def test_readme_library_example_runs(tmp_path):

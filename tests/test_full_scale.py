@@ -12,7 +12,7 @@ from mlpmod.correlation import build_correlation_adjacency
 from mlpmod.data import load_splits
 from mlpmod.graph import build_weight_adjacency
 from mlpmod.harness import ExperimentConfig, analyze_checkpoint, run_experiment, train_and_save
-from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model, record_activations
+from mlpmod.mlp import MlpArchitecture, TrainConfig, init_model
 from mlpmod.report import METHODS
 from mlpmod.spectral import SpectralConfig, cluster_graph
 
@@ -56,7 +56,7 @@ def test_full_size_graphs_cluster_as_their_dense_matrices(full_shape_mnist_dir, 
     test = load_splits(full_shape_mnist_dir / "mnist", ["test"])["test"]
     graphs = {
         "weights": build_weight_adjacency(model.weights),
-        "spearman": build_correlation_adjacency(record_activations(model, test.images)),
+        "spearman": build_correlation_adjacency(model, test.images)[0],
     }
     cfg = SpectralConfig(k=4, rng_seed=0)
     dense = {method: cluster_graph(graph.dense(), cfg) for method, graph in graphs.items()}

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import mlpmod.mlp
 from mlpmod.checkpoint import load_checkpoint, save_checkpoint
+from mlpmod.correlation import build_correlation_adjacency
 from mlpmod.data import LabeledImageSet
 from mlpmod.graph import LayeredGraph
 from mlpmod.mlp import (
@@ -23,12 +26,13 @@ from mlpmod.mlp import (
     logit_accuracy,
     init_model,
     loss_and_gradients,
-    record_activations,
     sample_dropout_masks,
     softmax_cross_entropy,
     train,
 )
 from mlpmod.spectral import ClusteringResult
+
+from spearman_oracle import record_activations
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +601,18 @@ def test_eval_batch_gives_the_bits_of_2048_example_chunks(activation, monkeypatc
     images = rng.integers(0, 256, size=(10000, 784), dtype=np.uint8)
     labels = rng.integers(0, 10, size=10000)
     model = init_model(MlpArchitecture(activation=activation), np.random.default_rng(42))
-    table = np.concatenate(record_activations(model, images)).tobytes()
-    accuracy = evaluate_accuracy(model, images, labels)
+
+    def outputs():
+        """Digests of the graph, the logits and the oracle's activation
+        table, and the accuracy, at the EVAL_BATCH in effect."""
+        graph, logits = build_correlation_adjacency(model, images)
+        table = np.concatenate(record_activations(model, images))
+        digests = [hashlib.sha256(a).hexdigest() for a in (graph.block, logits, table)]
+        return digests, evaluate_accuracy(model, images, labels)
+
+    at_512 = outputs()
     monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 2048)
-    assert np.concatenate(record_activations(model, images)).tobytes() == table
-    assert evaluate_accuracy(model, images, labels) == accuracy
+    assert outputs() == at_512
 
 
 # ---------------------------------------------------------------------------

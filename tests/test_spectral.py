@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import mlpmod.spectral
+from mlpmod.correlation import build_correlation_adjacency
 from mlpmod.graph import LayeredGraph, ncut
+from mlpmod.mlp import MlpArchitecture, init_model
 from mlpmod.spectral import (
     KMEANS_MAX_ITERS,
     KMEANS_RESTARTS,
@@ -296,6 +298,22 @@ def test_kmeans_single_memory_is_linear_in_k():
     finally:
         tracemalloc.stop()
     assert peak < 16 * k * n * 8
+
+
+@pytest.mark.slow
+def test_spearman_build_memory_stays_below_the_full_activation_table():
+    # the spearman graph holds two layers' ranks at a time; recording every
+    # neuron's activations first holds a 1818 x 10000 float64 table (139 MiB),
+    # and record-then-build peaks at 153 MiB
+    model = init_model(MlpArchitecture(), np.random.default_rng(0))
+    images = np.random.default_rng(1).integers(0, 256, size=(10000, 784), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        build_correlation_adjacency(model, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(model.architecture.layer_widths) * len(images) * 8
 
 
 def test_kmeans_square_corners():

@@ -20,7 +20,7 @@ from mlpmod.correlation import build_correlation_adjacency
 from mlpmod.data import LabeledImageSet
 from mlpmod.graph import build_weight_adjacency
 from mlpmod.harness import analyze_checkpoint
-from mlpmod.mlp import MlpArchitecture, MlpModel, forward, record_activations
+from mlpmod.mlp import MlpArchitecture, MlpModel, forward
 from mlpmod.spectral import SpectralConfig, cluster_graph
 
 from test_spectral import same_partition
@@ -94,7 +94,7 @@ def partitions(model, test_set):
     """Each method's clustering of ``model``, built as the pipeline builds it."""
     graphs = {
         "weights": build_weight_adjacency(model.weights),
-        "spearman": build_correlation_adjacency(record_activations(model, test_set.images)),
+        "spearman": build_correlation_adjacency(model, test_set.images)[0],
     }
     return {method: cluster_graph(g, SpectralConfig()) for method, g in graphs.items()}
 
