@@ -46,11 +46,9 @@ def standardize_rank_rows(table: np.ndarray) -> None:
     Constant rows become all-zero so that any dot product with them is 0:
     a constant vector has no defined rank correlation.
 
-    Exact, with no pass over a row beyond the sort: every row's mean rank
-    is (m+1)/2, and its sum of squared centered ranks is
-    (m^3 - m - sum(t^3 - t))/12 over its tie groups of sizes t (Kendall &
-    Gibbons, *Rank Correlation Methods*), computed in integers. Ranks are
-    half-integers, so the result equals ranking, centering and normalizing
+    Exact while m stays below about 3e5: centered ranks are half-integers,
+    whose squares and every partial sum of them are exact in float64 in any
+    summation order, so the result equals ranking, centering and normalizing
     in float64 bit for bit.
     """
     if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] < 2:
@@ -85,14 +83,11 @@ def _standardize_ranks(x: np.ndarray) -> None:
     # with the positive groups shifted past the zero run
     twice_centered = 2 * starts + sizes - m
     twice_centered[np.searchsorted(starts, n_neg):] += 2 * n_zero  # starts is sorted
-    # sum(t^3 - t) over all groups, where the nonzero sizes sum to values.size
-    sum_t3_t = int(np.dot(sizes, sizes * sizes)) - values.size + n_zero**3 - n_zero
-    # the sum of squared centered ranks is a multiple of 1/4, so dividing the
-    # integer 12 times that sum by 12 is exact
-    twelve_ss = m**3 - m - sum_t3_t
-    norm = math.sqrt(twelve_ss / 12) if twelve_ss else 1.0
-    x[:] = (2 * n_neg + n_zero - m) * 0.5 / norm
-    x[position] = np.repeat(twice_centered * 0.5 / norm, sizes)
+    x[:] = (2 * n_neg + n_zero - m) * 0.5
+    x[position] = np.repeat(twice_centered * 0.5, sizes)
+    norm = math.sqrt(x @ x)
+    if norm:
+        x /= norm
 
 
 def build_correlation_adjacency(
@@ -103,25 +98,25 @@ def build_correlation_adjacency(
 
     Each layer is computed from the one before in ``mlp.EVAL_BATCH`` example
     chunks into a fresh ``(w[l], m)`` table, ranked in place and multiplied
-    with the table before. A batch of the wrong width raises ``ValueError``
-    first, even with no images; so do fewer than two images.
+    with the table before; the input rows are the pixels as stored, whose
+    ranks scaling leaves unchanged. A batch of the wrong shape raises
+    ``ValueError`` first, even with no images; so do fewer than two images.
     """
     images = np.asarray(images)
-    if len(images) < 2:
-        mlp._check_batch(model, images)  # a batch of the wrong width is named first
+    if images.ndim != 2 or len(images) < 2:
+        mlp._check_batch(model, images)  # a batch of the wrong shape is named first
         raise ValueError("need at least two recorded examples")
     chunks = [slice(s, s + mlp.EVAL_BATCH) for s in range(0, len(images), mlp.EVAL_BATCH)]
+    acts = (mlp._check_batch(model, images[examples]) for examples in chunks)
+    prev = images.T.astype(np.float64, order="C")
+    standardize_rank_rows(prev)
     blocks = []
-    for t, width in enumerate(model.architecture.layer_widths):
-        if t < 2:  # scaled one chunk at a time, and again as the inputs of layer 1
-            acts = (mlp._check_batch(model, images[examples]) for examples in chunks)
-        if t > 0:
-            acts = [mlp._connection(model, t - 1, a) for a in acts]
+    for t, width in enumerate(model.architecture.layer_widths[1:]):
+        acts = [mlp._connection(model, t, a) for a in acts]
         layer = np.empty((width, len(images)))
         for examples, a in zip(chunks, acts):
             layer[:, examples] = a.T
         standardize_rank_rows(layer)
-        if t > 0:
-            blocks.append(np.abs(prev @ layer.T))
+        blocks.append(np.abs(prev @ layer.T))
         prev = layer
     return LayeredGraph.from_layers(blocks), np.concatenate(acts)

@@ -337,7 +337,7 @@ def test_standardized_ranks_equal_oracle_on_small_random_tables():
 
 def test_standardized_ranks_equal_oracle_with_a_large_tie_group_beside_the_zeros():
     # tie groups of 1200 equal values just below and just above a run of
-    # signed zeros: t^3 reaches 1.7e9 in the integer tie sum, and every group
+    # signed zeros: each group shares one half-integer rank, and every group
     # after the zero run is shifted past it
     rng = np.random.default_rng(12)
     parts = [np.full(1200, -0.25), np.full(150, -0.0), np.zeros(150), np.full(1200, 0.75),
@@ -383,8 +383,10 @@ def _builder_case(activation, dtype, m, widths=(20, 12, 8, 4), seed=30):
     if dtype == "uint8":
         images = rng.integers(0, 256, size=(m, widths[0]), dtype=np.uint8)
         images[:, 3] = 0  # a dead pixel: a constant input row
+    elif dtype == "int16":
+        images = rng.integers(-300, 300, size=(m, widths[0]), dtype=np.int16)
     else:
-        images = rng.standard_normal((m, widths[0]))
+        images = rng.standard_normal((m, widths[0])).astype(dtype)
     return model, images, rng.integers(0, widths[-1], size=m)
 
 
@@ -401,7 +403,7 @@ def _assert_builder_equals_oracle(model, images, labels):
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-@pytest.mark.parametrize("dtype", ["uint8", "float64"])
+@pytest.mark.parametrize("dtype", ["uint8", "int16", "float32", "float64"])
 @pytest.mark.parametrize("m", [2, 16, 37])
 def test_builder_gives_the_bits_of_record_then_build(activation, dtype, m, monkeypatch):
     # 16-example chunks: one short chunk, one full one, and 37 = 2 * 16 + 5
@@ -427,8 +429,9 @@ def test_builder_reads_eval_batch_at_call_time_and_scales_images_per_chunk(monke
     monkeypatch.setattr(mlpmod.mlp, "_check_batch", recording_check_batch)
     monkeypatch.setattr(mlpmod.mlp, "EVAL_BATCH", 4)
     correlation.build_correlation_adjacency(model, images)
-    # 4-image chunks for the input layer, and again for the first hidden layer
-    assert seen == [4, 4, 2, 4, 4, 2]
+    # 4-image chunks, each scaled once, as the inputs of the first hidden
+    # layer; the input layer is ranked from the pixels as stored
+    assert seen == [4, 4, 2]
 
 
 def test_builder_checks_the_batch_width_before_the_count():
@@ -436,6 +439,10 @@ def test_builder_checks_the_batch_width_before_the_count():
     for m in (0, 1, 4):
         with pytest.raises(ValueError, match=r"^batch must have shape \(m, 5\), got \(%d, 6\)$" % m):
             correlation.build_correlation_adjacency(model, np.zeros((m, 6)))
+    with pytest.raises(ValueError, match=r"^batch must have shape \(m, 5\), got \(\)$"):
+        correlation.build_correlation_adjacency(model, np.asarray(5.0))
+    with pytest.raises(ValueError, match=r"^batch must have shape \(m, 5\), got \(4, 1, 5\)$"):
+        correlation.build_correlation_adjacency(model, np.zeros((4, 1, 5)))
     for m in (0, 1):
         with pytest.raises(ValueError, match="^need at least two recorded examples$"):
             correlation.build_correlation_adjacency(model, np.zeros((m, 5), dtype=np.uint8))
