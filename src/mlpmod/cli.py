@@ -14,7 +14,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError, write_json
 from .data import KNOWN_DATASETS, DataError, load_splits
 from .harness import (
-    ExperimentConfig, StageError, analyze_checkpoint, checkpoint_filename,
+    ExperimentConfig, _failure_message, analyze_checkpoint, checkpoint_filename,
     load_experiment_data, run_grid, train_and_save,
 )
 from .mlp import ACTIVATIONS, TrainConfig, evaluate_accuracy
@@ -172,13 +172,6 @@ _COMMANDS = {
 _DATA_ERRORS = (DataError, CheckpointError, OSError, TooFewNodesError)
 
 
-def _classify(exc: BaseException) -> int:
-    """Exit code of an uncaught error: data errors give 2, all else 3."""
-    if isinstance(exc, StageError) and exc.__cause__ is not None:
-        return _classify(exc.__cause__)
-    return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_NUMERICAL
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -190,9 +183,9 @@ def main(argv=None) -> int:
         print("interrupted", file=sys.stderr)
         return 130  # the shell's code for a process stopped by SIGINT
     except Exception as e:
-        code = _classify(e)
+        code = EXIT_DATA if isinstance(e, _DATA_ERRORS) else EXIT_NUMERICAL
         kind = "data error" if code == EXIT_DATA else "numerical failure"
-        print(f"{kind}: {e}", file=sys.stderr)
+        print(f"{kind}: {_failure_message(e)}", file=sys.stderr)
         return code
 
 

@@ -39,7 +39,6 @@ from .spectral import SpectralConfig, cluster_graph
 
 __all__ = [
     "DROPOUT_RATE",
-    "StageError",
     "ExperimentConfig",
     "GridResult",
     "config_fingerprint",
@@ -57,23 +56,21 @@ log = logging.getLogger(__name__)
 DROPOUT_RATE = 0.5  # rate used whenever dropout is enabled
 
 
-class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name, chains the cause."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage '{stage}' failed: {cause}")
-        self.stage = stage
-
-
 @contextmanager
 def _stage(name: str, wall_times: dict):
     start = time.perf_counter()
     try:
         yield
     except Exception as e:
-        raise StageError(name, e) from e
+        e.stage = name
+        raise
     finally:
         wall_times[name] = time.perf_counter() - start
+
+
+def _failure_message(e: Exception) -> str:
+    """``str(e)``, led by the name of the stage it was raised in, if any."""
+    return f"stage '{e.stage}' failed: {e}" if hasattr(e, "stage") else str(e)
 
 
 @dataclass(frozen=True)
@@ -222,10 +219,11 @@ def load_experiment_data(
     """The dataset ``cfg`` names under ``data_dir``, with both splits checked
     for ``cfg``.
 
-    The load runs as the ``load-data`` stage, timed in ``wall_times``; it
-    takes the dataset from ``dataset_cache`` when that holds it, and stores
-    a fresh load there. A training split that ``_check_split`` rejects, or
-    a test split that ``_check_test_split`` rejects, raises ``DataError``.
+    The load and the checks run as the ``load-data`` stage, timed in
+    ``wall_times``; it takes the dataset from ``dataset_cache`` when that
+    holds it, and stores a fresh load there. A missing or malformed file or
+    a split that fails its check raises ``DataError`` (an unreadable file,
+    ``OSError``), and the error's ``stage`` attribute is ``"load-data"``.
     """
     with _stage("load-data", wall_times):
         cache = {} if dataset_cache is None else dataset_cache
@@ -233,9 +231,9 @@ def load_experiment_data(
         if key not in cache:
             cache[key] = load_dataset(cfg.dataset, data_dir)
         dataset = cache[key]
-    widths = cfg.architecture.layer_widths
-    _check_split(dataset["train"], "training", "training", 1, widths)
-    _check_test_split(cfg.method, dataset["test"], widths)
+        widths = cfg.architecture.layer_widths
+        _check_split(dataset["train"], "training", "training", 1, widths)
+        _check_test_split(cfg.method, dataset["test"], widths)
     return dataset
 
 
@@ -280,7 +278,8 @@ def run_experiment(
     the same config fingerprint already exists under ``out_dir/checkpoints``;
     a corrupt or mismatched cached checkpoint is retrained and overwritten.
     Writes the report JSON to ``out_dir/reports``. Deterministic for fixed
-    seeds.
+    seeds. An error keeps its own type (``DataError``, ``OSError``,
+    ``TooFewNodesError``, ...); one raised in a stage carries its name as ``stage``.
     """
     out_dir = Path(out_dir)
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
@@ -320,7 +319,9 @@ def analyze_checkpoint(
     The weights method needs no data; the spearman method requires the test
     split the activations are recorded over. Test accuracy is filled in
     whenever a test set is supplied, whose image width and labels must fit
-    the model's input and output layers (``DataError`` otherwise).
+    the model's input and output layers (``DataError`` otherwise). A stage's
+    error keeps its type and names the stage as ``stage``: ``CheckpointError``
+    from ``load-checkpoint``, ``TooFewNodesError`` (a ``ValueError``) from ``cluster``.
     """
     wall_times: dict = {}
     with _stage("load-checkpoint", wall_times):
@@ -395,7 +396,8 @@ def run_grid(
         try:
             reports.append(run_experiment(cfg, data_dir, out_dir, cache))
         except Exception as e:
-            failures.append({"cell": label, "stage": getattr(e, "stage", None), "error": str(e)})
+            stage, error = getattr(e, "stage", None), _failure_message(e)
+            failures.append({"cell": label, "stage": stage, "error": error})
     tables = write_tables(reports, out_dir)
     summary = ordering_summary(reports)
     summary["failures"] = failures

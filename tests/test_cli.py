@@ -317,12 +317,15 @@ def test_grid_prints_its_tables_and_failed_cells(tmp_path, monkeypatch, capsys):
     assert stdout.startswith("\n[weights]\n" + (out / "table_weights.txt").read_text())
     assert "[spearman]" not in stdout
     failed = [
-        f"  smoke/{activation}/{dropout}/spearman/seed0: the test split has 1 example(s); "
-        "spearman needs at least 2"
+        f"  smoke/{activation}/{dropout}/spearman/seed0: stage 'load-data' failed: "
+        "the test split has 1 example(s); spearman needs at least 2"
         for activation in ("relu", "sigmoid") for dropout in ("nodropout", "dropout")
     ]
     assert "\n".join(["\n4 cell(s) failed:", *failed]) in stdout
     assert stdout.endswith(f"\nwrote grid outputs under {out}\n")
+    summary = json.loads((out / "grid_summary.json").read_text())
+    assert [f["stage"] for f in summary["failures"]] == ["load-data"] * 4
+    assert all(f["cell"].endswith("/spearman/seed0") for f in summary["failures"])
 
 
 def test_grid_in_which_no_cell_reports_is_data_error(tmp_path, monkeypatch, capsys):
@@ -532,7 +535,10 @@ def test_train_refuses_an_empty_training_split(smoke_data_dir, tmp_path, monkeyp
     smoke_train = load_dataset("smoke", smoke_data_dir)["train"]
     empty = LabeledImageSet(smoke_train.images[:0], smoke_train.labels[:0], "train")
     assert _train_on_smoke(smoke_data_dir, tmp_path / "out", monkeypatch, train=empty) == 2
-    assert "data error: the training split has 0 example(s)" in capsys.readouterr().err
+    assert (
+        "data error: stage 'load-data' failed: the training split has 0 example(s)"
+        in capsys.readouterr().err
+    )
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -10,7 +10,6 @@ from mlpmod.checkpoint import save_checkpoint
 from mlpmod.data import DataError, LabeledImageSet, load_dataset, make_synthetic_dataset
 from mlpmod.harness import (
     ExperimentConfig,
-    StageError,
     analyze_checkpoint,
     checkpoint_filename,
     config_fingerprint,
@@ -20,7 +19,7 @@ from mlpmod.harness import (
 )
 from mlpmod.mlp import DEFAULT_LAYER_WIDTHS, MlpArchitecture, TrainConfig, init_model
 from mlpmod.report import METHODS, ExperimentReport, load_reports
-from mlpmod.spectral import SpectralConfig
+from mlpmod.spectral import SpectralConfig, TooFewNodesError
 
 from conftest import fail_writes_midway, smoke_config
 
@@ -99,8 +98,9 @@ def test_failed_checkpoint_write_retrains_on_rerun(smoke_data_dir, tmp_path, mon
     cfg = smoke_config("weights")
     with monkeypatch.context() as patch:
         fail_writes_midway(patch, "killed mid-write")
-        with pytest.raises(StageError, match="killed mid-write"):
+        with pytest.raises(OSError, match="killed mid-write") as err:
             run_experiment(cfg, smoke_data_dir, tmp_path / "run")
+    assert err.value.stage == "train-or-load"
     assert list((tmp_path / "run" / "checkpoints").iterdir()) == []
     rerun = run_experiment(cfg, smoke_data_dir, tmp_path / "run")
     fresh = run_experiment(cfg, smoke_data_dir, tmp_path / "fresh")
@@ -160,11 +160,17 @@ def test_fingerprint_is_pinned():
     assert config_fingerprint(smoke_config("weights")) == "5fe646b001a1"
 
 
-def test_missing_data_surfaces_stage_and_cause(tmp_path):
-    with pytest.raises(StageError, match="load-data") as err:
-        run_experiment(smoke_config("weights"), tmp_path / "nowhere", tmp_path)
+@pytest.mark.parametrize(
+    "n_train, cause",
+    [(None, "missing dataset files"), (0, "the training split has 0 example")],
+    ids=["missing-files", "empty-training-split"],
+)
+def test_missing_data_surfaces_stage_and_cause(tmp_path, n_train, cause):
+    if n_train is not None:
+        make_synthetic_dataset(tmp_path, name="smoke", n_train=n_train, n_test=4, seed=0)
+    with pytest.raises(DataError, match=cause) as err:
+        run_experiment(smoke_config("weights"), tmp_path, tmp_path / "out")
     assert err.value.stage == "load-data"
-    assert isinstance(err.value.__cause__, DataError)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -224,6 +230,19 @@ def test_analyze_checkpoint_round_trip(smoke_data_dir, tmp_path):
     assert analysis.cluster_sizes == pipeline.cluster_sizes
     assert analysis.test_accuracy_percent is None
     assert analysis.dataset is None
+
+
+def test_edgeless_checkpoint_raises_too_few_nodes_from_the_cluster_stage(tmp_path):
+    # library callers catch a graph with too few live nodes as a ValueError
+    model = init_model(MlpArchitecture(layer_widths=(784, 8, 8, 10)), np.random.default_rng(0))
+    for w in model.weights:
+        w[:] = 0.0
+    ckpt = tmp_path / "zero.mlpc"
+    save_checkpoint(model, ckpt)
+    with pytest.raises(ValueError, match="exceeds the 0 nodes") as err:
+        analyze_checkpoint(ckpt, "weights")
+    assert isinstance(err.value, TooFewNodesError)
+    assert err.value.stage == "cluster"
 
 
 def test_analyze_spearman_requires_test_split(smoke_data_dir, tmp_path):
