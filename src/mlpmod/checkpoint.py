@@ -12,11 +12,11 @@ Layout (all integers little-endian):
         f64 * widths[t+1]*widths[t]   weight matrix, row-major
         f64 * widths[t+1]             bias vector
 
-The parameters are a model's ``params`` buffer, written as is.
-Loading rejects non-finite parameters. Round-trips are bit-exact. Writes go
-through :func:`write_atomic`, which every output file of the package shares,
-so an interrupted write never leaves a truncated checkpoint at the target
-path; :func:`write_json` is the one JSON writer on top of it.
+The parameters are a model's ``params`` buffer, written as is, and loading
+reports the model's refusal of NaN or inf. Round-trips are bit-exact.
+Writes go through :func:`write_atomic`, which every output file of the
+package shares, so an interrupted write never leaves a truncated checkpoint
+at the target path; :func:`write_json` is the one JSON writer on top of it.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ _TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
 
 
 class CheckpointError(Exception):
-    """Checkpoint file is malformed, has the wrong magic/version or holds
-    non-finite parameters."""
+    """Checkpoint file is malformed, has the wrong magic/version, or holds
+    parameters that :class:`~mlpmod.mlp.MlpModel` refuses."""
 
 
 def save_checkpoint(model: MlpModel, path) -> None:
@@ -132,15 +132,7 @@ def load_checkpoint(path) -> MlpModel:
     if len(data) > expected:
         raise CheckpointError(f"{path}: {len(data) - expected} unexpected trailing bytes")
     flat = np.frombuffer(data, dtype="<f8", count=n_params, offset=offset)
-    weights, biases = _param_views(arch.layer_widths, flat)
-    if not np.isfinite(flat).all():
-        bad = [
-            f"{name}{t}"
-            for name, arrays in (("W", weights), ("b", biases))
-            for t, a in enumerate(arrays)
-            if not np.isfinite(a).all()
-        ]
-        raise CheckpointError(
-            f"{path}: non-finite (NaN or inf) values in parameters {', '.join(bad)}"
-        )
-    return MlpModel(architecture=arch, weights=weights, biases=biases)
+    try:
+        return MlpModel(arch, *_param_views(arch.layer_widths, flat))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e

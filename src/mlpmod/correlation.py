@@ -106,16 +106,15 @@ def build_correlation_adjacency(
     if images.ndim != 2 or len(images) < 2:
         mlp._check_batch(model, images)  # a batch of the wrong shape is named first
         raise ValueError("need at least two recorded examples")
-    chunks = [slice(s, s + mlp.EVAL_BATCH) for s in range(0, len(images), mlp.EVAL_BATCH)]
-    acts = (mlp._check_batch(model, images[examples]) for examples in chunks)
+    starts = range(0, len(images), mlp.EVAL_BATCH)
+    acts = (mlp._check_batch(model, images[s : s + mlp.EVAL_BATCH]) for s in starts)
     prev = images.T.astype(np.float64, order="C")
     standardize_rank_rows(prev)
     blocks = []
     for t, width in enumerate(model.architecture.layer_widths[1:]):
         acts = [mlp._connection(model, t, a) for a in acts]
         layer = np.empty((width, len(images)))
-        for examples, a in zip(chunks, acts):
-            layer[:, examples] = a.T
+        np.concatenate(acts, out=layer.T)
         standardize_rank_rows(layer)
         blocks.append(np.abs(prev @ layer.T))
         prev = layer

@@ -101,9 +101,10 @@ class MlpArchitecture:
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """An architecture and its parameters. The given weights and biases are
-    copied into one float64 buffer ``params`` laid out as in a checkpoint,
-    and ``weights``/``biases`` become views into it."""
+    """An architecture and its parameters, copied into one float64 buffer
+    ``params`` laid out as in a checkpoint, with ``weights``/``biases`` views
+    into it. ``ValueError`` refuses shapes other than the widths give, then
+    NaN or inf values, naming the arrays that hold them."""
 
     architecture: MlpArchitecture
     weights: list[np.ndarray]
@@ -111,13 +112,17 @@ class MlpModel:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        widths = self.architecture.layer_widths
+        shapes = [*zip(widths[1:], widths[:-1]), *((w,) for w in widths[1:])]
+        if [np.shape(a) for a in [*self.weights, *self.biases]] != shapes:
+            raise ValueError("parameter shapes do not match the layer widths")
+        bad = [f"{name}{t}" for name, arrays in (("W", self.weights), ("b", self.biases))
+               for t, a in enumerate(arrays) if not np.isfinite(a).all()]
+        if bad:
+            raise ValueError(f"non-finite (NaN or inf) values in parameters {', '.join(bad)}")
         given = [np.ravel(a) for pair in zip(self.weights, self.biases) for a in pair]
         params = np.concatenate(given, dtype=np.float64)
-        weights, biases = _param_views(self.architecture.layer_widths, params)
-        if [np.shape(a) for a in [*self.weights, *self.biases]] != [
-            a.shape for a in weights + biases
-        ]:
-            raise ValueError("parameter shapes do not match the layer widths")
+        weights, biases = _param_views(widths, params)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)

@@ -229,10 +229,11 @@ def kmeans_single(
     """One k-means run (k-means++ seeding, at most ``KMEANS_MAX_ITERS`` Lloyd
     iterations, stopping once no center moves more than ``KMEANS_TOL``).
 
-    Returns ``(labels, cost)`` with all clusters nonempty. An empty cluster
-    is repaired by reseeding it with the point farthest from its assigned
-    centroid among the clusters that keep another member. Within-run cost is
-    checked to be non-increasing.
+    Returns ``(labels, cost)`` with all clusters nonempty; fewer points than
+    clusters, or a NaN or inf coordinate, raise ``ValueError``. An empty
+    cluster is repaired by reseeding it with the point farthest from its
+    assigned centroid among the clusters that keep another member. Within-run
+    cost is checked to be non-increasing.
 
     The points are held as contiguous coordinate columns. Each iteration
     sums the (k, n) per-coordinate terms ``(col - c_j)**2`` one coordinate
@@ -244,6 +245,8 @@ def kmeans_single(
     n = pts.shape[0]
     if n < n_clusters:
         raise ValueError(f"cannot make {n_clusters} clusters from {n} points")
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain non-finite values (NaN or inf)")
     centers = _kmeans_pp_init(pts, n_clusters, rng)
     cols = pts.T.copy()
     prev_cost = np.inf

@@ -630,13 +630,22 @@ def test_architecture_validation():
 
 
 def test_model_rejects_parameters_of_other_shapes():
+    # one array too few or too many must be refused before packing, whose
+    # reshape would fail with numpy's own message
     model = make_model((4, 6, 3))
-    with pytest.raises(ValueError, match="shapes"):
-        MlpModel(
-            architecture=model.architecture,
-            weights=[w.T for w in model.weights],
-            biases=model.biases,
-        )
+    ws, bs = model.weights, model.biases
+    for weights, biases in [([w.T for w in ws], bs), (ws[:1], bs[:1]),
+                            (ws + ws[:1], bs + bs[:1])]:
+        with pytest.raises(ValueError, match="^parameter shapes do not match the layer widths$"):
+            MlpModel(model.architecture, weights, biases)
+
+
+def test_model_rejects_non_finite_parameters_and_names_them():
+    model = make_model((4, 6, 5, 3))
+    model.weights[2][1, 0] = np.nan
+    model.biases[1][4] = np.inf
+    with pytest.raises(ValueError, match=r"^non-finite \(NaN or inf\) values in parameters W2, b1$"):
+        MlpModel(model.architecture, model.weights, model.biases)
 
 
 def test_train_config_validation():

@@ -353,9 +353,25 @@ def test_kmeans_repair_keeps_every_cluster_it_fills():
     assert cost == 0.0
 
 
-def test_kmeans_too_few_points():
-    with pytest.raises(ValueError, match="cannot make"):
-        kmeans(np.zeros((2, 2)), 3, seed=0)
+def _points_with(value):
+    points = np.random.default_rng(0).standard_normal((20, 3))
+    points[7, 1] = value
+    return points
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda points: kmeans(points, 3, seed=0), id="kmeans"),
+    pytest.param(lambda points: kmeans_single(points, 3, np.random.default_rng(0)),
+                 id="kmeans_single"),
+])
+@pytest.mark.parametrize("points, message", [
+    pytest.param(np.zeros((2, 2)), "cannot make 3 clusters from 2 points", id="too-few"),
+    pytest.param(_points_with(np.nan), r"non-finite values \(NaN or inf\)", id="nan"),
+    pytest.param(_points_with(-np.inf), r"non-finite values \(NaN or inf\)", id="inf"),
+])
+def test_kmeans_refuses_points_it_cannot_cluster(run, points, message):
+    with pytest.raises(ValueError, match=message):
+        run(points)
 
 
 def test_kmeans_single_refuses_a_cost_that_increases(monkeypatch):
